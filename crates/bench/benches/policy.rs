@@ -116,7 +116,8 @@ impl Observer for FailureSeries {
 }
 
 /// One real machine run at `intensity`: returns the per-tick failure
-/// series and the serialized size of a mid-run machine checkpoint.
+/// series and the encoded size of a mid-run machine checkpoint — the
+/// machine-state bytes a crash-safe session feeds its engine.
 fn record(intensity: f64, seed: u64) -> (Vec<u64>, u64) {
     let n = workload_n();
     let mut lb = LayoutBuilder::new();
@@ -144,7 +145,8 @@ fn record(intensity: f64, seed: u64) -> (Vec<u64>, u64) {
             RunStatus::Paused { cycle } => {
                 last_pause = Some(cycle);
                 let ck = m.save_checkpoint(&adv).expect("measure checkpoint");
-                ck_bytes = ck.to_json().len() as u64;
+                let mut bytes = Vec::new();
+                ck_bytes = ck.encode_state_into(&mut bytes) as u64;
             }
         }
     }

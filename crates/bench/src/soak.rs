@@ -371,7 +371,7 @@ impl WriteAllVisitor for CaseRunner<'_> {
             }
             // Both crash-recovery lanes route through the session layer's
             // `run_with_cut`: kill at a tick boundary, checkpoint through
-            // the JSON codec, restore into a fresh machine + adversary.
+            // the binary codec, restore into a fresh machine + adversary.
             // The harness certifies that shared implementation — there is
             // no soak-private checkpoint/resume code to drift from it.
             Mode::KillResume(log, kill_at) => {

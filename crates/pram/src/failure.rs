@@ -62,6 +62,13 @@ impl FailurePattern {
         self.events.push(event);
     }
 
+    /// Wrap `events` as recorded, without [`FailurePattern::push`]'s
+    /// ordering assertion: decoders must not panic on corrupt input, and
+    /// restore validates the pattern before use.
+    pub(crate) fn from_events_unchecked(events: Vec<FailureEvent>) -> Self {
+        FailurePattern { events }
+    }
+
     /// `|F|`: the number of failure and restart events.
     pub fn size(&self) -> usize {
         self.events.len()

@@ -1595,10 +1595,10 @@ mod tests {
         assert_eq!(concatenated, straight_events);
     }
 
-    /// A checkpoint survives the JSON round-trip and restore rejects a
+    /// A checkpoint survives the codec round-trip and restore rejects a
     /// machine of the wrong shape.
     #[test]
-    fn checkpoint_json_and_shape_validation() {
+    fn checkpoint_codec_and_shape_validation() {
         use crate::checkpoint::Checkpoint;
 
         let prog = Counter { n: 4, target: 3 };
@@ -1613,7 +1613,9 @@ mod tests {
             })
             .unwrap();
         assert!(matches!(status, RunStatus::Paused { cycle: 1 }));
-        let ck = Checkpoint::from_json(&m.save_checkpoint(&NoFailures).unwrap().to_json()).unwrap();
+        let mut bytes = Vec::new();
+        m.save_checkpoint(&NoFailures).unwrap().encode_into(&mut bytes);
+        let ck = Checkpoint::decode(&bytes).unwrap();
         assert_eq!(ck.model, "word");
 
         // Wrong processor count.

@@ -36,7 +36,7 @@
 //! identical ticks.
 //!
 //! The engine's full state serializes to a [`Value`] that rides inside
-//! the v4 [`Checkpoint`](crate::Checkpoint) (its `policy` field), so a
+//! the [`Checkpoint`](crate::Checkpoint) (its `policy` field), so a
 //! resumed run continues the *same* policy trajectory. Restoring refuses
 //! state saved under a different policy kind or tuning — resuming a
 //! `fixed:500` run under `adaptive` would silently change where
@@ -157,7 +157,7 @@ impl Default for PolicyConfig {
 /// the run already uses, ask [`PolicyEngine::checkpoint_due`] inside the
 /// run-control callback, and call [`PolicyEngine::record_checkpoint`]
 /// after each checkpoint actually written. [`PolicyEngine::save_state`] /
-/// [`PolicyEngine::restore_state`] move the engine through the v4
+/// [`PolicyEngine::restore_state`] move the engine through the
 /// checkpoint codec.
 #[derive(Clone, Debug)]
 pub struct PolicyEngine {
@@ -296,9 +296,10 @@ impl PolicyEngine {
     }
 
     /// Record a checkpoint actually written at tick boundary `cycle`.
-    /// `bytes` is the serialized *machine* checkpoint size, which refines
-    /// the cost model — a deterministic input, unlike wall-clock save
-    /// time, which the engine refuses to know about.
+    /// `bytes` is the encoded *machine* checkpoint size (as returned by
+    /// [`Checkpoint::encode_state_into`](crate::Checkpoint::encode_state_into)),
+    /// which refines the cost model — a deterministic input, unlike
+    /// wall-clock save time, which the engine refuses to know about.
     pub fn record_checkpoint(&mut self, cycle: u64, bytes: u64) {
         // EWMA the byte-derived cost toward the observed size (same
         // window as the intensity estimate).

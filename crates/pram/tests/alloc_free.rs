@@ -10,10 +10,16 @@
 //! with the number of ticks — including with the adaptive inline degrade
 //! disabled, so the spin-then-park barrier, the per-worker commit
 //! buffers and the sharded index rebuild are all inside the measurement.
+//!
+//! Only allocations by the measured run count: the measuring thread, and
+//! the run's own pool workers, which mark themselves the first time they
+//! execute program code. Other test threads and libtest's own bookkeeping
+//! run concurrently and must not leak into an exact-zero bound.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 use rfsp_pram::snapshot::{SnapshotMachine, SnapshotProgram, SnapshotView};
 use rfsp_pram::{
@@ -36,6 +42,7 @@ impl Program for HintedGrind {
     }
     fn on_start(&self, _pid: Pid) {}
     fn plan(&self, pid: Pid, _st: &(), values: &[Word], reads: &mut ReadSet) {
+        mark_run_thread();
         if values.is_empty() {
             reads.push(pid.0 % self.n);
         }
@@ -62,11 +69,33 @@ struct CountingAlloc;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Whether this thread's allocations count: set on the measuring
+    /// thread for the duration of a measurement, and on pool workers by
+    /// [`mark_run_thread`].
+    static COUNTED: Cell<bool> = const { Cell::new(false) };
+}
+
+fn count_allocation() {
+    // `try_with`: the allocator also runs during thread teardown, after
+    // the thread-local is gone.
+    if COUNTED.try_with(Cell::get).unwrap_or(false) {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// Count this thread's allocations from now on. The test programs call it
+/// from `plan`, which runs on whichever thread executes the run — the
+/// measuring thread or one of the run's pool workers.
+fn mark_run_thread() {
+    COUNTED.with(|c| c.set(true));
+}
+
 // SAFETY: delegates verbatim to `System`; the counter has no side effects
 // on the returned memory.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.alloc(layout) }
     }
 
@@ -75,7 +104,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -83,9 +112,35 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Serializes the two measurements so neither sees the other's heap
-/// traffic (libtest may run them on separate threads).
+/// Serializes the measurements so no two runs' workers are ever counted
+/// together (libtest may run the tests on separate threads).
 static MEASURE: Mutex<()> = Mutex::new(());
+
+/// An exclusive measurement window: holds [`MEASURE`] and counts the
+/// calling thread's allocations until dropped. A failed assertion in one
+/// test must not poison the lock for the next, so poisoning is ignored.
+struct Measuring {
+    _exclusive: MutexGuard<'static, ()>,
+}
+
+impl Measuring {
+    fn start() -> Self {
+        let guard = MEASURE.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+        mark_run_thread();
+        Measuring { _exclusive: guard }
+    }
+
+    /// Allocations counted so far, process-wide.
+    fn allocations(&self) -> u64 {
+        ALLOCATIONS.load(Ordering::Relaxed)
+    }
+}
+
+impl Drop for Measuring {
+    fn drop(&mut self) {
+        COUNTED.with(|c| c.set(false));
+    }
+}
 
 /// Each processor increments its own cell once per tick until every cell
 /// reaches `target`: the run lasts exactly `target` full-width ticks.
@@ -101,6 +156,7 @@ impl Program for Grind {
     }
     fn on_start(&self, _pid: Pid) {}
     fn plan(&self, pid: Pid, _st: &(), values: &[Word], reads: &mut ReadSet) {
+        mark_run_thread();
         if values.is_empty() {
             reads.push(pid.0 % self.n);
         }
@@ -118,7 +174,7 @@ impl Program for Grind {
 
 #[test]
 fn sequential_steady_state_ticks_do_not_allocate() {
-    let _guard = MEASURE.lock().unwrap();
+    let window = Measuring::start();
     let p = 16;
     let prog = Grind { n: p, target: 1 << 20 };
     let mut m = Machine::new(&prog, p, CycleBudget::PAPER).unwrap();
@@ -127,11 +183,11 @@ fn sequential_steady_state_ticks_do_not_allocate() {
     for _ in 0..8 {
         m.tick(&mut NoFailures).unwrap();
     }
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = window.allocations();
     for _ in 0..64 {
         m.tick(&mut NoFailures).unwrap();
     }
-    let delta = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let delta = window.allocations() - before;
     assert_eq!(delta, 0, "sequential steady-state ticks allocated {delta} times");
 }
 
@@ -185,7 +241,7 @@ impl SnapshotProgram for SnapWriteAll {
 
 #[test]
 fn snapshot_steady_state_ticks_do_not_allocate() {
-    let _guard = MEASURE.lock().unwrap();
+    let window = Measuring::start();
     let p = 16;
     // 80 full-width ticks of work: warm-up (8) + measurement (64) stay
     // strictly inside the run, and every tick commits p index removals
@@ -198,25 +254,25 @@ fn snapshot_steady_state_ticks_do_not_allocate() {
     for _ in 0..8 {
         m.tick(&mut NoFailures).unwrap();
     }
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = window.allocations();
     for _ in 0..64 {
         m.tick(&mut NoFailures).unwrap();
     }
-    let delta = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let delta = window.allocations() - before;
     assert_eq!(delta, 0, "snapshot steady-state ticks allocated {delta} times");
 }
 
 #[test]
 fn pooled_allocations_do_not_grow_with_tick_count() {
-    let _guard = MEASURE.lock().unwrap();
+    let window = Measuring::start();
     let p = 16;
     let threads = 3;
     let measure = |target: Word| {
         let prog = Grind { n: p, target };
         let mut m = Machine::new(&prog, p, CycleBudget::PAPER).unwrap();
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let before = window.allocations();
         m.run_threaded(&mut NoFailures, RunLimits::default(), threads).unwrap();
-        ALLOCATIONS.load(Ordering::Relaxed) - before
+        window.allocations() - before
     };
     let short = measure(16);
     let long = measure(16 + 512);
@@ -240,16 +296,16 @@ fn pooled_allocations_do_not_grow_with_tick_count() {
 /// tick count.
 #[test]
 fn forced_parallel_commit_allocations_do_not_grow_with_tick_count() {
-    let _guard = MEASURE.lock().unwrap();
+    let window = Measuring::start();
     std::env::set_var("RFSP_POOL_INLINE_NS", "0");
     let p = 16;
     let threads = 3;
     let measure = |target: Word| {
         let prog = HintedGrind { n: p, target };
         let mut m = Machine::new(&prog, p, CycleBudget::PAPER).unwrap();
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let before = window.allocations();
         m.run_threaded(&mut NoFailures, RunLimits::default(), threads).unwrap();
-        ALLOCATIONS.load(Ordering::Relaxed) - before
+        window.allocations() - before
     };
     let short = measure(16);
     let long = measure(16 + 512);

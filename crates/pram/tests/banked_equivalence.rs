@@ -16,6 +16,13 @@ use rfsp_pram::{
     RunStatus, ScheduledAdversary, SharedMemory, Step, TraceRecorder, Word, WriteSet,
 };
 
+/// Round-trip `ck` through the binary checkpoint codec.
+fn codec_roundtrip(ck: &Checkpoint) -> Checkpoint {
+    let mut bytes = Vec::new();
+    ck.encode_into(&mut bytes);
+    Checkpoint::decode(&bytes).unwrap()
+}
+
 /// Per-processor increment grind (same shape as `properties.rs`).
 struct Grind {
     n: usize,
@@ -221,8 +228,8 @@ proptest! {
         prop_assert_eq!(flat.4, banked.4);
     }
 
-    /// Checkpoint v3 at a non-default bank count: pause anywhere, JSON
-    /// round-trip, restore into a fresh machine with the same layout,
+    /// Banked checkpoints at a non-default bank count: pause anywhere,
+    /// codec round-trip, restore into a fresh machine with the same layout,
     /// finish — identical observables to the uninterrupted banked run,
     /// including the per-bank counters.
     #[test]
@@ -258,7 +265,7 @@ proptest! {
             }
             RunStatus::Paused { .. } => {
                 let ck = first.save_checkpoint(&adv1).unwrap();
-                let ck = Checkpoint::from_json(&ck.to_json()).unwrap();
+                let ck = codec_roundtrip(&ck);
                 prop_assert_eq!(ck.layout, layout);
                 prop_assert_eq!(ck.bank_reads.len(), layout.bank_count());
                 let mut second = Machine::with_layout(&prog, p, CycleBudget::PAPER, layout).unwrap();

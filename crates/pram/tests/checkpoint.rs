@@ -1,5 +1,5 @@
 //! Property test for the checkpoint/resume guarantee: a run paused at an
-//! arbitrary tick, snapshotted, round-tripped through JSON, and restored
+//! arbitrary tick, snapshotted, round-tripped through the binary codec, and restored
 //! into a *freshly built* machine and adversary finishes with the same
 //! event stream, stats, failure pattern, per-processor counts, and final
 //! memory as the same run left uninterrupted. This is the machine-level
@@ -8,10 +8,19 @@
 
 use proptest::prelude::*;
 use rfsp_pram::{
-    Checkpoint, CycleBudget, FailPoint, FailureEvent, FailureKind, FailurePattern, Machine, Pid,
-    Program, ReadSet, RunControl, RunLimits, RunStatus, ScheduledAdversary, SharedMemory, Step,
-    TraceRecorder, Word, WriteSet,
+    Checkpoint, CycleBudget, FailPoint, FailureEvent, FailureKind, FailurePattern, Machine,
+    MemoryLayout, Pid, ProcCheckpoint, ProcStatus, Program, ReadSet, RunControl, RunLimits,
+    RunStatus, ScheduledAdversary, SharedMemory, Step, TraceRecorder, Word, WorkStats, WriteMode,
+    WriteSet, CHECKPOINT_VERSION,
 };
+use serde::Value;
+
+/// Round-trip `ck` through the binary checkpoint codec.
+fn codec_roundtrip(ck: &Checkpoint) -> Checkpoint {
+    let mut bytes = Vec::new();
+    ck.encode_into(&mut bytes);
+    Checkpoint::decode(&bytes).unwrap()
+}
 
 /// A Write-All-ish grind with *nontrivial private state*: each processor
 /// counts the cycles it has executed since its last (re)start, and every
@@ -86,7 +95,7 @@ fn legal_schedule(p: usize, raw: Vec<(usize, bool)>) -> FailurePattern {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
-    /// Pause anywhere, checkpoint through JSON, restore into fresh machine
+    /// Pause anywhere, checkpoint through the codec, restore into fresh machine
     /// + adversary, finish: the concatenated trace and every observable are
     /// identical to the uninterrupted run.
     #[test]
@@ -108,7 +117,7 @@ proptest! {
             .unwrap();
 
         // Interrupted run: pause at the fuzzed tick (if the run lives that
-        // long), snapshot, JSON round-trip, restore into a FRESH machine
+        // long), snapshot, codec round-trip, restore into a FRESH machine
         // and a FRESH adversary rebuilt from the same schedule — exactly
         // what a resuming process does — then run to completion.
         let mut first = Machine::new(&prog, p, CycleBudget::PAPER).unwrap();
@@ -130,7 +139,7 @@ proptest! {
             RunStatus::Paused { cycle } => {
                 prop_assert!(cycle >= pause_at);
                 let ck = first.save_checkpoint(&adv1).unwrap();
-                let ck = Checkpoint::from_json(&ck.to_json()).unwrap();
+                let ck = codec_roundtrip(&ck);
                 let mut second = Machine::new(&prog, p, CycleBudget::PAPER).unwrap();
                 let mut adv2 = ScheduledAdversary::new(pattern.clone());
                 second.restore_checkpoint(&ck, &mut adv2).unwrap();
@@ -151,5 +160,110 @@ proptest! {
         // truncate-and-append resume protocol relies on.
         let stitched = format!("{}{}", trace_a.to_jsonl(), trace_b.to_jsonl());
         prop_assert_eq!(trace_s.to_jsonl(), stitched);
+    }
+}
+
+/// One fuzzed failure-pattern record: every [`FailPoint`] variant, with
+/// `AfterWrite`'s `k` drawn from the whole `usize` range, and restarts.
+fn fate(code: u8, k: usize) -> FailureKind {
+    match code % 4 {
+        0 => FailureKind::Restart,
+        1 => FailureKind::Failure { point: FailPoint::BeforeReads },
+        2 => FailureKind::Failure { point: FailPoint::BeforeWrites },
+        _ => FailureKind::Failure { point: FailPoint::AfterWrite(k) },
+    }
+}
+
+/// A non-null private state exercising every JSON shape the header
+/// carries: nested maps and sequences, negative and large integers,
+/// floats, and strings needing escapes and multibyte UTF-8.
+fn private_state(x: u64, y: i64, flag: bool) -> Value {
+    Value::Map(vec![
+        ("x".into(), Value::UInt(x)),
+        ("y".into(), Value::Int(y.min(-1))),
+        ("f".into(), Value::Float(y as f64 / 3.0)),
+        ("path".into(), Value::Seq(vec![Value::Bool(flag), Value::Null, Value::UInt(x >> 7)])),
+        ("tag".into(), Value::Str(format!("P\"{x}\"\\ \u{e9}\u{4e16}\n"))),
+    ])
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
+
+    /// The binary codec is exact over the whole checkpoint domain — both
+    /// models, flat and banked layouts, full-range cells, counters, PIDs,
+    /// times and write counts, non-null private states — and a strict
+    /// prefix of any frame is refused.
+    #[test]
+    fn codec_roundtrips_arbitrary_checkpoints(
+        snapshot in any::<bool>(),
+        banks in 0usize..5,
+        interleave in 1usize..9,
+        cells in proptest::collection::vec(any::<u64>(), 0..96),
+        small in any::<bool>(),
+        raw_events in proptest::collection::vec(
+            (any::<usize>(), any::<u64>(), any::<u8>(), any::<usize>()),
+            0..40,
+        ),
+        procs in proptest::collection::vec((0u8..3, any::<u64>(), any::<i64>(), any::<bool>()), 0..12),
+        shape in (any::<u64>(), 0u8..4, any::<usize>(), any::<usize>()),
+        counters in proptest::collection::vec(any::<u64>(), 8),
+        stat in any::<u64>(),
+        with_policy in any::<bool>(),
+    ) {
+        let (cycle, mode, budget_reads, budget_writes) = shape;
+        let layout = match banks {
+            0 => MemoryLayout::Flat,
+            banks => MemoryLayout::Banked { banks, interleave },
+        };
+        let bank_count = layout.bank_count();
+        let mut events: Vec<FailureEvent> = raw_events
+            .into_iter()
+            .map(|(pid, time, code, k)| FailureEvent { kind: fate(code, k), pid, time })
+            .collect();
+        events.sort_by_key(|e| e.time);
+        let ck = Checkpoint {
+            version: CHECKPOINT_VERSION,
+            model: if snapshot { "snapshot" } else { "word" }.to_string(),
+            cycle,
+            mode: [WriteMode::Common, WriteMode::Arbitrary, WriteMode::Priority, WriteMode::Exclusive]
+                [usize::from(mode)],
+            budget_reads,
+            budget_writes,
+            layout,
+            mem: cells.iter().map(|&c| if small { c % 3 } else { c }).collect(),
+            bank_reads: counters[..bank_count].to_vec(),
+            bank_writes: counters[8 - bank_count..].to_vec(),
+            stats: WorkStats {
+                completed_cycles: stat,
+                interrupted_cycles: stat >> 3,
+                charged_instructions: stat.rotate_left(5),
+                partial_instructions: 1,
+                failures: stat >> 40,
+                restarts: stat >> 41,
+                parallel_time: cycle,
+            },
+            procs: procs
+                .iter()
+                .map(|&(status, x, y, flag)| ProcCheckpoint {
+                    status: [ProcStatus::Alive, ProcStatus::Failed, ProcStatus::Halted]
+                        [usize::from(status)],
+                    completed: x,
+                    state: private_state(x, y, flag),
+                })
+                .collect(),
+            pattern: events.into_iter().collect(),
+            adversary: Value::Map(vec![("cursor".into(), Value::UInt(cycle ^ stat))]),
+            policy: if with_policy { private_state(stat, -7, true) } else { Value::Null },
+        };
+        let mut bytes = Vec::new();
+        ck.encode_into(&mut bytes);
+        prop_assert_eq!(Checkpoint::decode(&bytes).unwrap(), ck.clone());
+        let mut state = Vec::new();
+        let state_len = ck.encode_state_into(&mut state);
+        prop_assert_eq!(&bytes[..state_len], &state[..]);
+        for cut in [0, 4, bytes.len() / 3, bytes.len() / 2, bytes.len() - 1] {
+            prop_assert!(Checkpoint::decode(&bytes[..cut]).is_err(), "prefix {} decoded", cut);
+        }
     }
 }

@@ -1,10 +1,11 @@
 //! Property test for the snapshot machine's checkpoint/resume guarantee —
 //! the snapshot-model mirror of `tests/checkpoint.rs`, exercising the
 //! unified core's checkpointing through [`SnapshotMachine`]: a run paused
-//! at an arbitrary tick, snapshotted, round-tripped through JSON, and
-//! restored into a *freshly built* machine and adversary finishes with the
-//! same event stream, stats, failure pattern, per-processor counts, and
-//! final memory as the same run left uninterrupted.
+//! at an arbitrary tick, snapshotted, round-tripped through the binary
+//! codec, and restored into a *freshly built* machine and adversary
+//! finishes with the same event stream, stats, failure pattern,
+//! per-processor counts, and final memory as the same run left
+//! uninterrupted.
 
 use proptest::prelude::*;
 use rfsp_pram::snapshot::{SnapshotMachine, SnapshotProgram, SnapshotView};
@@ -13,6 +14,13 @@ use rfsp_pram::{
     RunControl, RunLimits, RunStatus, ScheduledAdversary, SharedMemory, Step, TraceRecorder, Word,
     WriteSet,
 };
+
+/// Round-trip `ck` through the binary checkpoint codec.
+fn codec_roundtrip(ck: &Checkpoint) -> Checkpoint {
+    let mut bytes = Vec::new();
+    ck.encode_into(&mut bytes);
+    Checkpoint::decode(&bytes).unwrap()
+}
 
 /// Indexed snapshot Write-All with *nontrivial private state*: each
 /// processor counts the cycles it has executed since its last (re)start and
@@ -95,7 +103,7 @@ fn legal_schedule(p: usize, raw: Vec<(usize, bool)>) -> FailurePattern {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
-    /// Pause anywhere, checkpoint through JSON, restore into fresh machine
+    /// Pause anywhere, checkpoint through the codec, restore into fresh machine
     /// + adversary, finish: the concatenated trace and every observable are
     /// identical to the uninterrupted snapshot-model run.
     #[test]
@@ -117,7 +125,7 @@ proptest! {
             .unwrap();
 
         // Interrupted run: pause at the fuzzed tick (if the run lives that
-        // long), snapshot, JSON round-trip, restore into a FRESH machine
+        // long), snapshot, codec round-trip, restore into a FRESH machine
         // and a FRESH adversary rebuilt from the same schedule — exactly
         // what a resuming process does — then run to completion.
         let mut first = SnapshotMachine::new(&prog, p, 1).unwrap();
@@ -139,7 +147,7 @@ proptest! {
             RunStatus::Paused { cycle } => {
                 prop_assert!(cycle >= pause_at);
                 let ck = first.save_checkpoint(&adv1).unwrap();
-                let ck = Checkpoint::from_json(&ck.to_json()).unwrap();
+                let ck = codec_roundtrip(&ck);
                 prop_assert_eq!(&ck.model, "snapshot");
                 let mut second = SnapshotMachine::new(&prog, p, 1).unwrap();
                 let mut adv2 = ScheduledAdversary::new(pattern.clone());

@@ -9,7 +9,7 @@ use std::io::Write;
 
 use crate::{io_err, RunError};
 
-/// Write `text` to `path` durably and atomically: write a sibling tmp
+/// Write `data` to `path` durably and atomically: write a sibling tmp
 /// file, fsync it, rename it over `path`, then fsync the parent directory
 /// so the rename itself survives a power cut. A reader (or a kill at any
 /// instant) sees either the old file or the complete new one — never a
@@ -18,11 +18,11 @@ use crate::{io_err, RunError};
 /// # Errors
 ///
 /// Any I/O failure, decorated with the operation and path.
-pub fn write_atomic(path: &str, text: &str) -> Result<u64, RunError> {
+pub fn write_atomic(path: &str, data: impl AsRef<[u8]>) -> Result<u64, RunError> {
+    let data = data.as_ref();
     let tmp = format!("{path}.tmp");
-    let bytes = text.len() as u64;
     let mut f = File::create(&tmp).map_err(|e| io_err("create", &tmp, &e))?;
-    f.write_all(text.as_bytes()).map_err(|e| io_err("write", &tmp, &e))?;
+    f.write_all(data).map_err(|e| io_err("write", &tmp, &e))?;
     // The data must be on disk before the rename publishes it, or a crash
     // could leave a fully-named but empty file.
     f.sync_all().map_err(|e| io_err("fsync", &tmp, &e))?;
@@ -38,7 +38,7 @@ pub fn write_atomic(path: &str, text: &str) -> Result<u64, RunError> {
     File::open(parent)
         .and_then(|d| d.sync_all())
         .map_err(|e| io_err("fsync parent directory of", path, &e))?;
-    Ok(bytes)
+    Ok(data.len() as u64)
 }
 
 #[cfg(test)]
@@ -54,10 +54,10 @@ mod tests {
         let n = write_atomic(path_s, "{\"a\":1}").unwrap();
         assert_eq!(n, 7);
         assert_eq!(std::fs::read_to_string(&path).unwrap(), "{\"a\":1}");
-        // Overwrite: the old content is replaced wholesale, and no tmp
-        // residue survives a successful publication.
-        write_atomic(path_s, "second").unwrap();
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), "second");
+        // Overwrite with binary data: the old content is replaced
+        // wholesale, and no tmp residue survives a successful publication.
+        write_atomic(path_s, [0xff, 0, 7]).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), [0xff, 0, 7]);
         assert!(!dir.join("out.json.tmp").exists());
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -15,7 +15,7 @@
 //!   run loop: pause at tick boundaries, checkpoint on the policy's
 //!   cadence (and on demand), rewind-and-replay after surfaced worker
 //!   panics, stream every event to the log and to a caller observer.
-//! * [`run_with_cut`] — the in-memory kill/checkpoint/JSON-round-trip/
+//! * [`run_with_cut`] — the in-memory kill/checkpoint/codec-round-trip/
 //!   restore/resume cross-check used by the soak harness's crash-recovery
 //!   lanes.
 //! * [`Scheduler`] — a FIFO round-robin turn queue multiplexing many

@@ -20,16 +20,16 @@
 use std::time::Instant;
 
 use rfsp_pram::{
-    Adversary, Observer, PolicyEngine, PolicyKind, PramError, RunLimits, RunReport, RunStatus,
-    SharedMemory, Tee, WastedWork,
+    Adversary, Checkpoint, Observer, PolicyEngine, PolicyKind, PramError, RunLimits, RunReport,
+    RunStatus, SharedMemory, Tee, WastedWork,
 };
 
-use crate::checkpoint::{SessionCheckpoint, SESSION_CHECKPOINT_VERSION};
+use crate::atomic::write_atomic;
+use crate::checkpoint::{encode_preamble, SessionCheckpoint, SESSION_CHECKPOINT_VERSION};
 use crate::config::{build_adversary, RunConfig};
 use crate::events::EventLog;
 use crate::host::{ExecMode, RunHost};
 use crate::{machine_err, RunError};
-use serde::Serialize as _;
 
 /// What the caller decides at a pause.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -84,6 +84,8 @@ pub struct RunSession<'a, M: RunHost> {
     /// The last published snapshot, kept in memory: a surfaced worker
     /// panic is handled like a crash — rewind to it and replay.
     last_saved: Option<SessionCheckpoint>,
+    /// Encode buffer reused by every checkpoint.
+    encoded: Vec<u8>,
     last_pause: Option<u64>,
     exec: ExecMode<'a>,
     rebuild: Box<dyn FnMut() -> Result<M, PramError> + 'a>,
@@ -114,6 +116,7 @@ impl<'a, M: RunHost> RunSession<'a, M> {
             events,
             wasted: WastedWork::default(),
             last_saved: None,
+            encoded: Vec::new(),
             last_pause: None,
             exec,
             rebuild,
@@ -161,6 +164,7 @@ impl<'a, M: RunHost> RunSession<'a, M> {
             events,
             wasted,
             last_saved: Some(ck),
+            encoded: Vec::new(),
             last_pause: None,
             exec,
             rebuild,
@@ -287,12 +291,19 @@ impl<'a, M: RunHost> RunSession<'a, M> {
         let started = Instant::now();
         let mut machine_ck =
             self.machine.host_save_checkpoint(&self.adversary).map_err(|e| machine_err(&e))?;
-        // Feed the cost model the machine snapshot alone (policy field
-        // still Null): a pure function of machine state, identical in a
-        // resumed and an uninterrupted run.
-        let machine_bytes = serde::json::to_string(&machine_ck.to_value()).len() as u64;
-        self.engine.record_checkpoint(cycle, machine_bytes);
+        // Encode once, into the reused buffer: preamble, machine state,
+        // then the policy payload — which the engine can only produce
+        // after it has been fed the machine state's size (a pure function
+        // of machine state, identical in a resumed and an uninterrupted
+        // run).
+        let buf = &mut self.encoded;
+        buf.clear();
+        encode_preamble(buf, &self.cfg, offset, &self.wasted);
+        let machine_bytes = machine_ck.encode_state_into(buf);
+        self.engine.record_checkpoint(cycle, machine_bytes as u64);
         machine_ck.policy = self.engine.save_state();
+        Checkpoint::encode_policy_into(&machine_ck.policy, buf);
+        let file_bytes = write_atomic(path, &*buf)?;
         let ck = SessionCheckpoint {
             version: SESSION_CHECKPOINT_VERSION,
             config: self.cfg.clone(),
@@ -300,7 +311,6 @@ impl<'a, M: RunHost> RunSession<'a, M> {
             wasted: self.wasted,
             machine: machine_ck,
         };
-        let file_bytes = ck.store(path)?;
         self.wasted.checkpoints += 1;
         self.wasted.checkpoint_bytes += file_bytes;
         self.wasted.checkpoint_ns += started.elapsed().as_nanos() as u64;
@@ -359,7 +369,7 @@ pub struct CutOutcome<M> {
     pub policy_states: Option<(String, String)>,
 }
 
-/// Kill a run at a tick boundary, checkpoint it **through the JSON
+/// Kill a run at a tick boundary, checkpoint it **through the binary
 /// codec** (the on-disk format is part of what callers certify), restore
 /// into a freshly built machine + adversary, and run to completion — the
 /// soak harness's crash-recovery lane, for any [`RunHost`].
@@ -420,10 +430,12 @@ pub fn run_with_cut<M: RunHost>(
             if let Some(e) = &engine {
                 ck.policy = e.save_state();
             }
-            // Round-trip through JSON: the on-disk format — including the
-            // policy payload when present — is part of what callers
-            // certify.
-            let ck = rfsp_pram::Checkpoint::from_json(&ck.to_json())?;
+            // Round-trip through the codec: the on-disk format —
+            // including the policy payload when present — is part of
+            // what callers certify.
+            let mut bytes = Vec::new();
+            ck.encode_into(&mut bytes);
+            let ck = Checkpoint::decode(&bytes)?;
             drop(first);
             let mut second = build()?;
             // The replacement adversary is rebuilt from config, as a

@@ -6,7 +6,7 @@
 //! spool/
 //!   job-000001/
 //!     config.json    # the RunConfig, paths rewritten into this directory
-//!     ck.json        # latest session checkpoint (atomic tmp+rename)
+//!     ck.json        # latest binary session checkpoint (atomic tmp+rename)
 //!     events.jsonl   # the job's event stream
 //!     done.json      # terminal marker: {"state": "...", "detail": "..."}
 //! ```
@@ -95,7 +95,7 @@ impl Spool {
         let path = dir.join("config.json");
         write_atomic(
             path.to_str().ok_or_else(|| RunError("non-UTF-8 spool path".into()))?,
-            &serde::json::to_string_pretty(&config.to_value()),
+            serde::json::to_string_pretty(&config.to_value()),
         )?;
         Ok(config)
     }
@@ -110,7 +110,7 @@ impl Spool {
         let marker = DoneMarker { state: state.to_string(), detail: detail.to_string() };
         write_atomic(
             path.to_str().ok_or_else(|| RunError("non-UTF-8 spool path".into()))?,
-            &serde::json::to_string_pretty(&marker.to_value()),
+            serde::json::to_string_pretty(&marker.to_value()),
         )?;
         Ok(())
     }
@@ -215,10 +215,41 @@ mod tests {
         let done = jobs[1].done.as_ref().unwrap();
         assert_eq!(done.state, "completed");
 
-        // A torn checkpoint must fail the scan loudly, not silently
-        // restart the job from scratch.
-        std::fs::write(root.join("job-000001").join("ck.json"), "{torn").unwrap();
-        assert!(spool.scan().is_err());
+        // An intact checkpoint is re-adopted; a torn one (any strict
+        // prefix of the binary frame) must fail the scan loudly, not
+        // silently restart the job from scratch.
+        let ck = SessionCheckpoint {
+            version: crate::SESSION_CHECKPOINT_VERSION,
+            config: cfg,
+            events_offset: 0,
+            wasted: rfsp_pram::WastedWork::default(),
+            machine: rfsp_pram::Checkpoint {
+                version: rfsp_pram::CHECKPOINT_VERSION,
+                model: "word".into(),
+                cycle: 50,
+                mode: rfsp_pram::WriteMode::Common,
+                budget_reads: 4,
+                budget_writes: 2,
+                layout: rfsp_pram::MemoryLayout::Flat,
+                mem: vec![1; 64],
+                bank_reads: vec![300],
+                bank_writes: vec![64],
+                stats: rfsp_pram::WorkStats::default(),
+                procs: Vec::new(),
+                pattern: rfsp_pram::FailurePattern::new(),
+                adversary: serde::Value::Null,
+                policy: serde::Value::Null,
+            },
+        };
+        let ck_path = spool.checkpoint_path(1);
+        let size = ck.store(&ck_path).unwrap() as usize;
+        let jobs = spool.scan().unwrap();
+        assert_eq!(jobs[0].resume.as_ref().unwrap().machine, ck.machine);
+        let bytes = std::fs::read(&ck_path).unwrap();
+        for cut in [0, 4, size / 2, size - 1] {
+            std::fs::write(&ck_path, &bytes[..cut]).unwrap();
+            assert!(spool.scan().is_err(), "checkpoint torn at byte {cut} was adopted");
+        }
         std::fs::remove_dir_all(&root).unwrap();
     }
 }

@@ -261,12 +261,17 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, Error> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 character.
-                let rest = std::str::from_utf8(&bytes[*pos..])
+                // Copy the run up to the next quote or backslash in one go.
+                // Both are ASCII, so the run ends on a character boundary
+                // of the (already valid) input and is validated once —
+                // linear in the string, not in the remaining document.
+                let start = *pos;
+                while !matches!(bytes.get(*pos), None | Some(b'"' | b'\\')) {
+                    *pos += 1;
+                }
+                let run = std::str::from_utf8(&bytes[start..*pos])
                     .map_err(|_| Error::custom("invalid UTF-8 in string"))?;
-                let c = rest.chars().next().expect("non-empty remainder");
-                out.push(c);
-                *pos += c.len_utf8();
+                out.push_str(run);
             }
         }
     }
@@ -340,6 +345,27 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("12 34").is_err());
         assert!(parse("").is_err());
+    }
+
+    #[test]
+    fn large_multibyte_documents_roundtrip() {
+        // Over 4 MB of strings mixing multibyte UTF-8 with every escape
+        // the writer emits: large enough that per-character work on the
+        // remaining input would take minutes. Asserts content only.
+        let piece = "Grüße, 世界 🦀 \"quoted\" back\\slash\ttab\nline \u{1}ctl /";
+        let items: Vec<Value> = (0..50_000)
+            .map(|i| {
+                Value::Map(vec![
+                    (format!("k{i} ключ"), Value::Str(format!("{piece}{i}"))),
+                    ("n".into(), Value::UInt(i)),
+                ])
+            })
+            .collect();
+        let v = Value::Seq(items);
+        let text = to_string(&v);
+        assert!(text.len() >= 4 << 20, "document is only {} bytes", text.len());
+        assert_eq!(parse(&text).unwrap(), v);
+        assert_eq!(parse(&to_string_pretty(&v)).unwrap(), v);
     }
 
     #[test]
