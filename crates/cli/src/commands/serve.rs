@@ -117,7 +117,7 @@ mod imp {
         n: u64,
         p: u64,
         cancel: Arc<AtomicBool>,
-        watchers: Arc<Mutex<Vec<UnixStream>>>,
+        watchers: Arc<Mutex<Watchers>>,
     }
 
     /// Everything the daemon's threads share.
@@ -130,25 +130,75 @@ mod imp {
         handles: Mutex<Vec<std::thread::JoinHandle<()>>>,
         next_id: Mutex<u64>,
         shutdown: AtomicBool,
+        /// Where the daemon listens: a shutdown request connects here once
+        /// to wake the blocking accept loop.
+        socket: String,
     }
 
-    /// Streams a job's events to its subscribed watchers; a watcher whose
-    /// socket write fails is silently dropped (it hung up).
+    /// How long one delivery may block on a watcher before the watcher is
+    /// dropped. The scheduler serializes run segments, so a watcher that
+    /// stops reading would otherwise stall every job once its socket
+    /// buffer fills.
+    const WATCH_WRITE_TIMEOUT: Duration = Duration::from_secs(2);
+
+    /// A job's live subscribers, and the event lines encoded for them
+    /// since the last delivery.
+    #[derive(Default)]
+    struct Watchers {
+        streams: Vec<UnixStream>,
+        pending: Vec<u8>,
+    }
+
+    impl Watchers {
+        /// Subscribe `stream`, bounding its writes by `timeout`.
+        fn register(&mut self, stream: UnixStream, timeout: Duration) {
+            if stream.set_write_timeout(Some(timeout)).is_ok() {
+                self.streams.push(stream);
+            }
+        }
+
+        /// Write the pending lines to every watcher, one write each. A
+        /// watcher whose write fails — it hung up, or stalled past its
+        /// write timeout — is dropped.
+        fn deliver(&mut self) {
+            if self.pending.is_empty() {
+                return;
+            }
+            let lines = &self.pending;
+            self.streams.retain_mut(|s| s.write_all(lines).is_ok());
+            self.pending.clear();
+        }
+    }
+
+    /// Streams a job's events to its watchers: each event is encoded once,
+    /// as a `{"job":N,"event":…}` line, and the lines go out once per
+    /// tick boundary ([`Watchers::deliver`] on every `TickStart`), once per
+    /// pause before the job yields its turn, and once before the stream
+    /// closes.
     struct Fan {
-        job: u64,
-        sinks: Arc<Mutex<Vec<UnixStream>>>,
+        /// `{"job":N,"event":`, the fixed head of every line.
+        head: Vec<u8>,
+        watchers: Arc<Mutex<Watchers>>,
+    }
+
+    impl Fan {
+        fn new(job: u64, watchers: Arc<Mutex<Watchers>>) -> Self {
+            Fan { head: format!("{{\"job\":{job},\"event\":").into_bytes(), watchers }
+        }
     }
 
     impl Observer for Fan {
         fn event(&mut self, event: TraceEvent) {
-            let mut sinks = lock(&self.sinks);
-            if sinks.is_empty() {
+            let mut w = lock(&self.watchers);
+            if matches!(event, TraceEvent::TickStart { .. }) {
+                w.deliver();
+            }
+            if w.streams.is_empty() {
                 return;
             }
-            let mut line = format!("{{\"job\":{},\"event\":", self.job);
-            line.push_str(&serde::json::to_string(&event));
-            line.push_str("}\n");
-            sinks.retain_mut(|s| s.write_all(line.as_bytes()).is_ok());
+            w.pending.extend_from_slice(&self.head);
+            event.write_json(&mut w.pending);
+            w.pending.extend_from_slice(b"}\n");
         }
     }
 
@@ -195,7 +245,7 @@ mod imp {
                 let entry = reg.get(&job).expect("job registered before spawn");
                 (Arc::clone(&entry.cancel), Arc::clone(&entry.watchers))
             };
-            let mut fan = Fan { job, sinks: watchers };
+            let mut fan = Fan::new(job, Arc::clone(&watchers));
 
             daemon.sched.acquire(job);
             lock(&daemon.registry).get_mut(&job).expect("registered").state = JobState::Running;
@@ -220,6 +270,7 @@ mod imp {
                         stop.set(Some(JobEnd::Shutdown));
                         return PauseFlow::Stop;
                     }
+                    lock(&watchers).deliver();
                     daemon.sched.yield_turn(job);
                     quantum_end.set(pause.cycle + daemon.quantum);
                     PauseFlow::Continue
@@ -272,14 +323,19 @@ mod imp {
             Ok(JobEnd::Shutdown) => (JobState::Stopped, None),
             Err(e) => (JobState::Failed, Some(("failed", e.0.clone()))),
         };
-        {
+        let mut watchers = {
             let mut registry = lock(&daemon.registry);
             let entry = registry.get_mut(&job).expect("registered");
             entry.state = state;
-            // Dropping the watcher streams is the subscribers' EOF: a
-            // `submit --watch` client exits once its job is terminal.
-            lock(&entry.watchers).clear();
-        }
+            // Terminal now, so nobody registers again: the registry row
+            // keeps no streams and no buffer.
+            let taken = std::mem::take(&mut *lock(&entry.watchers));
+            taken
+        };
+        // The last lines, then EOF: dropping the watcher streams ends a
+        // `submit --watch` client once its job is terminal.
+        watchers.deliver();
+        drop(watchers);
         if let Some((tag, detail)) = marker {
             if let Err(e) = daemon.spool.mark_done(job, tag, &detail) {
                 eprintln!("job {job}: cannot record terminal state: {e}");
@@ -305,7 +361,7 @@ mod imp {
             n: cfg.n,
             p: cfg.p,
             cancel: Arc::new(AtomicBool::new(false)),
-            watchers: Arc::new(Mutex::new(Vec::new())),
+            watchers: Arc::default(),
         };
         lock(&daemon.registry).insert(job, entry);
         let d = Arc::clone(daemon);
@@ -377,7 +433,7 @@ mod imp {
                     // orders this against run_job's terminal transition).
                     let live = matches!(entry.state, JobState::Queued | JobState::Running);
                     if write_line(&mut out, &Response::Done).is_ok() && live {
-                        lock(&entry.watchers).push(out);
+                        lock(&entry.watchers).register(out, WATCH_WRITE_TIMEOUT);
                     }
                     return;
                 }
@@ -385,7 +441,11 @@ mod imp {
             },
             Request::Shutdown => {
                 daemon.shutdown.store(true, Ordering::SeqCst);
-                Response::Done
+                let _ = write_line(&mut out, &Response::Done);
+                // The accept loop blocks until the next connection; make
+                // one so it sees the flag.
+                let _ = UnixStream::connect(&daemon.socket);
+                return;
             }
         };
         let _ = write_line(&mut out, &response);
@@ -421,6 +481,7 @@ mod imp {
             handles: Mutex::new(Vec::new()),
             next_id: Mutex::new(next_id),
             shutdown: AtomicBool::new(false),
+            socket: socket.clone(),
         });
 
         // Re-adopt the spool: finished jobs become history rows, every
@@ -443,7 +504,7 @@ mod imp {
                             n: sj.config.n,
                             p: sj.config.p,
                             cancel: Arc::new(AtomicBool::new(false)),
-                            watchers: Arc::new(Mutex::new(Vec::new())),
+                            watchers: Arc::default(),
                         },
                     );
                 }
@@ -461,18 +522,17 @@ mod imp {
 
         let _ = std::fs::remove_file(&socket);
         let listener = UnixListener::bind(&socket).map_err(|e| sock_err("bind", &socket, &e))?;
-        listener.set_nonblocking(true).map_err(|e| sock_err("configure", &socket, &e))?;
         println!("rfsp serve: listening on {socket} (spool {spool_dir}, quantum {quantum} ticks)");
+        // A blocking accept serves each client at once: a watcher that
+        // subscribes right after its submit must be registered before the
+        // job's first ticks, or it misses them.
         while !daemon.shutdown.load(Ordering::SeqCst) {
             match listener.accept() {
                 Ok((stream, _)) => {
-                    let _ = stream.set_nonblocking(false);
                     let d = Arc::clone(&daemon);
                     std::thread::spawn(move || handle_client(&d, stream));
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(10));
-                }
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(sock_err("accept on", &socket, &e)),
             }
         }
@@ -585,6 +645,69 @@ mod imp {
             Response::Done => Ok(()),
             Response::Err { message } => Err(refuse(message)),
             other => Err(ArgError(format!("unexpected daemon response: {other:?}"))),
+        }
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use std::io::Read as _;
+
+        use rfsp_core::{AlgoX, WriteAllTasks, XOptions};
+        use rfsp_pram::{LayoutBuilder, Tee, TraceRecorder};
+
+        use super::*;
+
+        /// A watcher that never reads must not stall its job: once its
+        /// socket buffer is full, the next delivery times out, the watcher
+        /// is dropped like one that hung up, and the job runs to
+        /// completion — while a reading watcher still receives every line.
+        #[test]
+        fn stalled_watcher_is_dropped_and_the_job_completes() {
+            let (stalled, _never_read) = UnixStream::pair().unwrap();
+            let (live, mut reader) = UnixStream::pair().unwrap();
+            let watchers = Arc::new(Mutex::new(Watchers::default()));
+            lock(&watchers).register(stalled, Duration::from_millis(50));
+            lock(&watchers).register(live, WATCH_WRITE_TIMEOUT);
+            let drain = std::thread::spawn(move || {
+                let mut got = Vec::new();
+                reader.read_to_end(&mut got).unwrap();
+                got
+            });
+
+            let cfg = RunConfig {
+                n: 16_384,
+                p: 8,
+                adversary: "random".into(),
+                seed: 5,
+                ..RunConfig::default()
+            };
+            let mut layout = LayoutBuilder::new();
+            let tasks = WriteAllTasks::new(&mut layout, cfg.n as usize);
+            let prog = AlgoX::new(&mut layout, tasks, cfg.p as usize, XOptions::default());
+            let build = Box::new(|| Machine::new(&prog, 8, rfsp_pram::CycleBudget::PAPER));
+            let mut session = RunSession::new(cfg, ExecMode::Sequential, build).unwrap();
+            let mut fan = Fan::new(7, Arc::clone(&watchers));
+            let mut rec = TraceRecorder::unbounded();
+            let end = session
+                .run(&mut |_| false, &mut |_| PauseFlow::Continue, &mut Tee(&mut fan, &mut rec))
+                .unwrap();
+            assert!(matches!(end, SessionEnd::Completed(_)));
+            assert!(tasks.all_written(session.memory()));
+            {
+                let mut w = lock(&watchers);
+                w.deliver();
+                assert_eq!(w.streams.len(), 1, "the stalled watcher was not dropped");
+                w.streams.clear();
+            }
+
+            let mut want = String::new();
+            for line in rec.to_jsonl().lines() {
+                want.push_str(&format!("{{\"job\":7,\"event\":{line}}}\n"));
+            }
+            let got = drain.join().unwrap();
+            assert!(got == want.as_bytes(), "the reading watcher's stream is not the job's");
+            // The stalled watcher's buffer must really have filled.
+            assert!(want.len() > 4 << 20, "enlarge the job: {} bytes", want.len());
         }
     }
 }

@@ -14,7 +14,10 @@
 //! # Encoding
 //!
 //! [`Checkpoint::encode_into`] writes one binary frame straight from the
-//! struct; only the small header goes through JSON:
+//! struct, and [`Machine::encode_checkpoint_into`]
+//! (crate::Machine::encode_checkpoint_into) writes the same bytes straight
+//! from the running machine, without building a `Checkpoint` first. Both
+//! go through one frame writer; only the small header goes through JSON:
 //!
 //! ```text
 //! "RFCK"                          magic tag (4 bytes)
@@ -162,40 +165,14 @@ impl Checkpoint {
     /// the same costs, and the policy state it steers can be appended
     /// afterwards without encoding the machine a second time.
     pub fn encode_state_into(&self, out: &mut Vec<u8>) -> usize {
-        let start = out.len();
-        out.extend_from_slice(MAGIC);
-        wire::put_uleb(out, u64::from(self.version));
-        wire::put_json(out, &self.header());
-        for section in [&self.mem, &self.bank_reads, &self.bank_writes] {
-            wire::put_uleb(out, section.len() as u64);
-            for &x in section {
-                wire::put_uleb(out, x);
-            }
-        }
-        let events = self.pattern.events();
-        wire::put_uleb(out, events.len() as u64);
-        let mut prev = 0u64;
-        for e in events {
-            wire::put_uleb(out, e.pid as u64);
-            // Wrapping, so even an out-of-order pattern round-trips
-            // exactly; restore's pattern validation refuses it later.
-            wire::put_uleb(out, e.time.wrapping_sub(prev));
-            prev = e.time;
-            match e.kind {
-                FailureKind::Restart => wire::put_uleb(out, FATE_RESTART),
-                FailureKind::Failure { point: FailPoint::BeforeReads } => {
-                    wire::put_uleb(out, FATE_BEFORE_READS);
-                }
-                FailureKind::Failure { point: FailPoint::BeforeWrites } => {
-                    wire::put_uleb(out, FATE_BEFORE_WRITES);
-                }
-                FailureKind::Failure { point: FailPoint::AfterWrite(k) } => {
-                    wire::put_uleb(out, FATE_AFTER_WRITE);
-                    wire::put_uleb(out, k as u64);
-                }
-            }
-        }
-        out.len() - start
+        put_state_frame(
+            out,
+            self.header(),
+            (self.mem.len(), std::iter::once(&self.mem[..])),
+            self.bank_reads.iter().copied(),
+            self.bank_writes.iter().copied(),
+            self.pattern.events(),
+        )
     }
 
     /// Append the trailing policy payload (`policy` as length-prefixed
@@ -279,20 +256,119 @@ impl Checkpoint {
         })
     }
 
-    /// The frame's JSON header: every field except the bulk sections and
-    /// the policy payload.
-    fn header(&self) -> Value {
+    /// The frame's header: every field except the bulk sections and the
+    /// policy payload.
+    fn header(&self) -> FrameHeader<'_> {
+        FrameHeader {
+            version: self.version,
+            model: &self.model,
+            cycle: self.cycle,
+            mode: self.mode,
+            budget: (self.budget_reads, self.budget_writes),
+            layout: self.layout,
+            stats: &self.stats,
+            procs: self.procs.to_value(),
+            adversary: self.adversary.clone(),
+        }
+    }
+}
+
+/// The header fields of a machine-state frame, borrowed from wherever the
+/// state lives: a [`Checkpoint`], or the running core itself.
+pub(crate) struct FrameHeader<'a> {
+    /// Written as the varint after the magic tag, outside the JSON.
+    pub(crate) version: u32,
+    pub(crate) model: &'a str,
+    pub(crate) cycle: u64,
+    pub(crate) mode: WriteMode,
+    /// `(reads, writes)` halves of the cycle budget.
+    pub(crate) budget: (usize, usize),
+    pub(crate) layout: MemoryLayout,
+    pub(crate) stats: &'a WorkStats,
+    /// The serialized `Vec<ProcCheckpoint>`.
+    pub(crate) procs: Value,
+    pub(crate) adversary: Value,
+}
+
+impl FrameHeader<'_> {
+    /// The frame's JSON section; [`Checkpoint::decode`] reads the fields
+    /// back by name.
+    fn into_json(self) -> Value {
         Value::Map(vec![
             ("model".into(), self.model.to_value()),
             ("cycle".into(), self.cycle.to_value()),
             ("mode".into(), self.mode.to_value()),
-            ("budget_reads".into(), self.budget_reads.to_value()),
-            ("budget_writes".into(), self.budget_writes.to_value()),
+            ("budget_reads".into(), self.budget.0.to_value()),
+            ("budget_writes".into(), self.budget.1.to_value()),
             ("layout".into(), self.layout.to_value()),
             ("stats".into(), self.stats.to_value()),
-            ("procs".into(), self.procs.to_value()),
-            ("adversary".into(), self.adversary.clone()),
+            ("procs".into(), self.procs),
+            ("adversary".into(), self.adversary),
         ])
+    }
+}
+
+/// Append a v5 machine-state frame — magic, version, `header`, then the
+/// cell, per-bank counter and failure-pattern sections — and return its
+/// length. The one writer of the layout in the module docs: a
+/// [`Checkpoint`] encodes through it, and so does the core straight from
+/// live machine state, without copying memory or pattern first.
+///
+/// `cells` is the cell count and the cells themselves, in address order,
+/// as any run of contiguous chunks.
+pub(crate) fn put_state_frame<'c>(
+    out: &mut Vec<u8>,
+    header: FrameHeader<'_>,
+    cells: (usize, impl Iterator<Item = &'c [Word]>),
+    bank_reads: impl ExactSizeIterator<Item = u64>,
+    bank_writes: impl ExactSizeIterator<Item = u64>,
+    pattern: &[FailureEvent],
+) -> usize {
+    let start = out.len();
+    out.extend_from_slice(MAGIC);
+    wire::put_uleb(out, u64::from(header.version));
+    wire::put_json(out, &header.into_json());
+    let (count, chunks) = cells;
+    // At least one byte per cell.
+    out.reserve(count);
+    wire::put_uleb(out, count as u64);
+    for chunk in chunks {
+        for &x in chunk {
+            wire::put_uleb(out, x);
+        }
+    }
+    put_counters(out, bank_reads);
+    put_counters(out, bank_writes);
+    wire::put_uleb(out, pattern.len() as u64);
+    let mut prev = 0u64;
+    for e in pattern {
+        wire::put_uleb(out, e.pid as u64);
+        // Wrapping, so even an out-of-order pattern round-trips exactly;
+        // restore's pattern validation refuses it later.
+        wire::put_uleb(out, e.time.wrapping_sub(prev));
+        prev = e.time;
+        match e.kind {
+            FailureKind::Restart => wire::put_uleb(out, FATE_RESTART),
+            FailureKind::Failure { point: FailPoint::BeforeReads } => {
+                wire::put_uleb(out, FATE_BEFORE_READS);
+            }
+            FailureKind::Failure { point: FailPoint::BeforeWrites } => {
+                wire::put_uleb(out, FATE_BEFORE_WRITES);
+            }
+            FailureKind::Failure { point: FailPoint::AfterWrite(k) } => {
+                wire::put_uleb(out, FATE_AFTER_WRITE);
+                wire::put_uleb(out, k as u64);
+            }
+        }
+    }
+    out.len() - start
+}
+
+/// Append a count-prefixed run of varints.
+fn put_counters(out: &mut Vec<u8>, values: impl ExactSizeIterator<Item = u64>) {
+    wire::put_uleb(out, values.len() as u64);
+    for x in values {
+        wire::put_uleb(out, x);
     }
 }
 
@@ -541,7 +617,7 @@ mod tests {
         let mut head = Vec::new();
         head.extend_from_slice(MAGIC);
         wire::put_uleb(&mut head, u64::from(CHECKPOINT_VERSION));
-        wire::put_json(&mut head, &ck.header());
+        wire::put_json(&mut head, &ck.header().into_json());
         let mut bad = head.clone();
         wire::put_uleb(&mut bad, 1 << 62);
         bad.extend_from_slice(&bytes[head.len() + 1..]);

@@ -45,7 +45,9 @@ use crate::accounting::{RunOutcome, RunReport, WorkStats};
 use crate::adversary::{
     Adversary, Decisions, FailPoint, MachineView, ProcMeta, ProcStatus, TentativeCycle,
 };
-use crate::checkpoint::{Checkpoint, ProcCheckpoint, CHECKPOINT_VERSION};
+use crate::checkpoint::{
+    put_state_frame, Checkpoint, FrameHeader, ProcCheckpoint, CHECKPOINT_VERSION,
+};
 use crate::commit::{CommitEntry, CommitScratch, SlotWinner};
 use crate::cycle::MAX_WRITES;
 use crate::decisions::{resolve, CycleFate};
@@ -1333,9 +1335,7 @@ where
         M: ExecutionModel<Private = Pv>,
         A: Adversary,
     {
-        let adversary = adversary.save_state().ok_or_else(|| PramError::Checkpoint {
-            detail: "the adversary is not checkpointable (save_state returned None)".into(),
-        })?;
+        let adversary = save_adversary(adversary)?;
         let (budget_reads, budget_writes) = model.checkpoint_budget();
         let (bank_reads, bank_writes) = self.mem.bank_counters().into_iter().unzip();
         Ok(Checkpoint {
@@ -1352,18 +1352,7 @@ where
             bank_reads,
             bank_writes,
             stats: self.stats,
-            procs: self
-                .procs
-                .status
-                .iter()
-                .zip(&self.procs.completed)
-                .zip(&self.procs.state)
-                .map(|((&status, &completed), state)| ProcCheckpoint {
-                    status,
-                    completed,
-                    state: state.as_ref().map_or(serde::Value::Null, |st| st.to_value()),
-                })
-                .collect(),
+            procs: self.proc_checkpoints(),
             pattern: self.pattern.clone(),
             adversary,
             // Policy state is runner-level: a policy-driven runner fills
@@ -1371,6 +1360,62 @@ where
             // policy of its own.
             policy: serde::Value::Null,
         })
+    }
+
+    /// Append the machine-state frame of a checkpoint of the core (and
+    /// `adversary`) to `out` and return its length: the bytes
+    /// `save_checkpoint(..)?.encode_state_into(out)` would write, encoded
+    /// straight from the live memory banks and failure pattern instead of
+    /// from copies of them. The caller appends the policy payload
+    /// ([`Checkpoint::encode_policy_into`]) to complete the frame.
+    ///
+    /// # Errors
+    ///
+    /// As [`Core::save_checkpoint`]; nothing is appended then.
+    pub(crate) fn encode_checkpoint_into<M, A>(
+        &self,
+        model: &M,
+        adversary: &A,
+        out: &mut Vec<u8>,
+    ) -> Result<usize>
+    where
+        M: ExecutionModel<Private = Pv>,
+        A: Adversary,
+    {
+        let header = FrameHeader {
+            version: CHECKPOINT_VERSION,
+            model: M::MODEL,
+            cycle: self.cycle,
+            mode: self.mode,
+            budget: model.checkpoint_budget(),
+            layout: self.mem.layout(),
+            stats: &self.stats,
+            procs: self.proc_checkpoints().to_value(),
+            adversary: save_adversary(adversary)?,
+        };
+        Ok(put_state_frame(
+            out,
+            header,
+            (self.mem.size(), self.mem.chunks().map(|(_, cells)| cells)),
+            self.mem.bank_reads(),
+            self.mem.bank_writes(),
+            self.pattern.events(),
+        ))
+    }
+
+    /// Every processor's checkpointed status and private state, by PID.
+    fn proc_checkpoints(&self) -> Vec<ProcCheckpoint> {
+        self.procs
+            .status
+            .iter()
+            .zip(&self.procs.completed)
+            .zip(&self.procs.state)
+            .map(|((&status, &completed), state)| ProcCheckpoint {
+                status,
+                completed,
+                state: state.as_ref().map_or(serde::Value::Null, |st| st.to_value()),
+            })
+            .collect()
     }
 
     /// Load `ck` into this core and `adversary`, resuming the checkpointed
@@ -1488,4 +1533,16 @@ where
         self.init_tracker(model);
         Ok(())
     }
+}
+
+/// The adversary's checkpoint state.
+///
+/// # Errors
+///
+/// [`PramError::Checkpoint`] if the adversary is not checkpointable
+/// ([`Adversary::save_state`] returned `None`).
+fn save_adversary<A: Adversary>(adversary: &A) -> Result<serde::Value> {
+    adversary.save_state().ok_or_else(|| PramError::Checkpoint {
+        detail: "the adversary is not checkpointable (save_state returned None)".into(),
+    })
 }

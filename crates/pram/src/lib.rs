@@ -95,7 +95,7 @@ pub use policy::{PolicyConfig, PolicyEngine, PolicyKind};
 pub use region::{LayoutBuilder, Region};
 pub use snapshot::{SnapshotMachine, SnapshotProgram, SnapshotView};
 pub use trace::{
-    MetricsObserver, NoopObserver, Observer, RunSeries, Tee, TickMetrics, TraceEvent, TraceLog,
+    MetricsObserver, NoopObserver, Observer, RunSeries, Tee, TickMetrics, TraceEvent,
     TraceRecorder, WastedWork,
 };
 pub use unvisited::{AddrSlice, UnvisitedIndex, LANE_WIDTH};

@@ -390,6 +390,16 @@ impl SharedMemory {
     pub fn bank_counters(&self) -> Vec<(u64, u64)> {
         self.banks.iter().map(|b| (b.reads, b.writes)).collect()
     }
+
+    /// Per-bank charged read counters, in bank order, without collecting.
+    pub(crate) fn bank_reads(&self) -> impl ExactSizeIterator<Item = u64> + '_ {
+        self.banks.iter().map(|b| b.reads)
+    }
+
+    /// Per-bank charged write counters, in bank order, without collecting.
+    pub(crate) fn bank_writes(&self) -> impl ExactSizeIterator<Item = u64> + '_ {
+        self.banks.iter().map(|b| b.writes)
+    }
 }
 
 /// Cells bank `b` owns under a block-cyclic layout: `full` whole rounds

@@ -516,6 +516,24 @@ where
         self.core.save_checkpoint(&self.model, adversary)
     }
 
+    /// Append the machine-state frame of a checkpoint (everything but the
+    /// trailing policy payload) to `out` and return its length — the bytes
+    /// `save_checkpoint(adversary)?.encode_state_into(out)` writes, encoded
+    /// straight from the machine without copying its memory or failure
+    /// pattern into a [`Checkpoint`] first. Complete the frame with
+    /// [`Checkpoint::encode_policy_into`]; [`Checkpoint::decode`] reads it.
+    ///
+    /// # Errors
+    ///
+    /// As [`SnapshotMachine::save_checkpoint`]; nothing is appended then.
+    pub fn encode_checkpoint_into<A: Adversary>(
+        &self,
+        adversary: &A,
+        out: &mut Vec<u8>,
+    ) -> Result<usize> {
+        self.core.encode_checkpoint_into(&self.model, adversary, out)
+    }
+
     /// Load `ck` into this machine and `adversary`, resuming the
     /// checkpointed run at its tick boundary. Everything is validated
     /// **before** anything is mutated, so a failed restore leaves machine

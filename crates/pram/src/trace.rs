@@ -3,12 +3,8 @@
 //! An [`Observer`] receives every semantically meaningful event of a run —
 //! cycle completions, interruptions, failures, restarts, committed writes,
 //! completion — letting tools trace, visualize or cross-check executions
-//! without touching the accounting. Three observers ship with the crate:
+//! without touching the accounting. Two recorders ship with the crate:
 //!
-//! * [`TraceLog`] — the original recorder: keeps a prefix of the event
-//!   stream plus running totals; the totals are checked against
-//!   [`WorkStats`](crate::WorkStats) in the test suite, giving the
-//!   accounting an independent witness.
 //! * [`TraceRecorder`] — a bounded **ring buffer**: keeps the most recent
 //!   `cap` events (the interesting tail of a long run) while totals keep
 //!   counting, and exports the stream as JSONL for replay comparison.
@@ -18,6 +14,13 @@
 //!   measurement substrate behind the `BENCH_*.json` artifacts and the
 //!   `rfsp trace` subcommand. The finished [`RunSeries`] exports as JSON,
 //!   JSONL or CSV via serde.
+//!
+//! Every event stream on disk or on the wire — the recorder's JSONL, the
+//! run layer's events log, the daemon's watch lines — is rendered by
+//! [`TraceEvent::write_json`], which appends compact JSON to a reused
+//! buffer without allocating. The derived `Serialize` is its reference:
+//! the two are pinned byte for byte in the test suite, and the derived
+//! `Deserialize` parses the lines back.
 //!
 //! Both engines emit the identical stream for identical runs: the
 //! threaded backend ([`Machine::run_threaded_observed`]
@@ -86,6 +89,73 @@ pub enum TraceEvent {
     },
 }
 
+impl TraceEvent {
+    /// Append this event's compact JSON rendering to `out`, byte-identical
+    /// to `serde::json::to_string(self)` — e.g.
+    /// `{"Failure":{"cycle":3,"pid":1,"point":{"AfterWrite":2}}}` — with
+    /// no allocation beyond `out`'s own growth. No trailing newline.
+    pub fn write_json(&self, out: &mut Vec<u8>) {
+        let (name, cycle) = match *self {
+            TraceEvent::TickStart { cycle } => ("TickStart", cycle),
+            TraceEvent::CycleCompleted { cycle, .. } => ("CycleCompleted", cycle),
+            TraceEvent::CycleInterrupted { cycle, .. } => ("CycleInterrupted", cycle),
+            TraceEvent::Failure { cycle, .. } => ("Failure", cycle),
+            TraceEvent::Restart { cycle, .. } => ("Restart", cycle),
+            TraceEvent::Commit { cycle, .. } => ("Commit", cycle),
+            TraceEvent::Completed { cycle } => ("Completed", cycle),
+        };
+        out.extend_from_slice(b"{\"");
+        out.extend_from_slice(name.as_bytes());
+        out.extend_from_slice(b"\":{\"cycle\":");
+        push_u64(out, cycle);
+        match *self {
+            TraceEvent::TickStart { .. } | TraceEvent::Completed { .. } => {}
+            TraceEvent::CycleCompleted { pid, .. }
+            | TraceEvent::CycleInterrupted { pid, .. }
+            | TraceEvent::Restart { pid, .. } => {
+                out.extend_from_slice(b",\"pid\":");
+                push_u64(out, pid.0 as u64);
+            }
+            TraceEvent::Failure { pid, point, .. } => {
+                out.extend_from_slice(b",\"pid\":");
+                push_u64(out, pid.0 as u64);
+                out.extend_from_slice(b",\"point\":");
+                match point {
+                    FailPoint::BeforeReads => out.extend_from_slice(b"\"BeforeReads\""),
+                    FailPoint::BeforeWrites => out.extend_from_slice(b"\"BeforeWrites\""),
+                    FailPoint::AfterWrite(k) => {
+                        out.extend_from_slice(b"{\"AfterWrite\":");
+                        push_u64(out, k as u64);
+                        out.push(b'}');
+                    }
+                }
+            }
+            TraceEvent::Commit { addr, value, .. } => {
+                out.extend_from_slice(b",\"addr\":");
+                push_u64(out, addr as u64);
+                out.extend_from_slice(b",\"value\":");
+                push_u64(out, value);
+            }
+        }
+        out.extend_from_slice(b"}}");
+    }
+}
+
+/// Append `v` in decimal.
+fn push_u64(out: &mut Vec<u8>, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut i = digits.len();
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[i..]);
+}
+
 /// A sink for [`TraceEvent`]s. All methods default to no-ops so observers
 /// implement only what they need.
 pub trait Observer: Send {
@@ -110,58 +180,6 @@ impl Observer for Tee<'_> {
     fn event(&mut self, event: TraceEvent) {
         self.0.event(event);
         self.1.event(event);
-    }
-}
-
-/// Records events into memory, with an optional cap to bound memory use on
-/// long runs (older events are NOT evicted; recording simply stops — the
-/// totals keep counting).
-#[derive(Clone, Debug, Default)]
-pub struct TraceLog {
-    events: Vec<TraceEvent>,
-    cap: Option<usize>,
-    /// Total completions seen (even past the cap).
-    pub completions: u64,
-    /// Total interruptions seen.
-    pub interruptions: u64,
-    /// Total failures seen.
-    pub failures: u64,
-    /// Total restarts seen.
-    pub restarts: u64,
-    /// Total committed writes seen.
-    pub commits: u64,
-}
-
-impl TraceLog {
-    /// Unbounded recorder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record at most `cap` events (counters keep running past it).
-    pub fn with_capacity_limit(cap: usize) -> Self {
-        TraceLog { cap: Some(cap), ..Self::default() }
-    }
-
-    /// The recorded events, in order.
-    pub fn events(&self) -> &[TraceEvent] {
-        &self.events
-    }
-}
-
-impl Observer for TraceLog {
-    fn event(&mut self, event: TraceEvent) {
-        match event {
-            TraceEvent::CycleCompleted { .. } => self.completions += 1,
-            TraceEvent::CycleInterrupted { .. } => self.interruptions += 1,
-            TraceEvent::Failure { .. } => self.failures += 1,
-            TraceEvent::Restart { .. } => self.restarts += 1,
-            TraceEvent::Commit { .. } => self.commits += 1,
-            TraceEvent::TickStart { .. } | TraceEvent::Completed { .. } => {}
-        }
-        if self.cap.is_none_or(|c| self.events.len() < c) {
-            self.events.push(event);
-        }
     }
 }
 
@@ -214,16 +232,17 @@ impl TraceRecorder {
         self.events.is_empty()
     }
 
-    /// The retained stream as JSONL: one serde-rendered event per line
-    /// (trailing newline included). Two identical runs export
-    /// byte-identical streams, which the engine-equivalence tests rely on.
+    /// The retained stream as JSONL: one [`TraceEvent::write_json`] line
+    /// per event (trailing newline included). Two identical runs export
+    /// byte-identical streams, which the engine-equivalence tests and the
+    /// golden fixtures rely on.
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
+        let mut out = Vec::new();
         for e in &self.events {
-            out.push_str(&serde::json::to_string(e));
-            out.push('\n');
+            e.write_json(&mut out);
+            out.push(b'\n');
         }
-        out
+        String::from_utf8(out).expect("event JSON is ASCII")
     }
 }
 
@@ -550,17 +569,49 @@ impl Observer for MetricsObserver {
 mod tests {
     use super::*;
 
+    /// Every variant, crossed with every fail point, at the extremes of
+    /// each field: the hand-written encoder matches the serde reference
+    /// byte for byte, and the derived parser reads it back.
     #[test]
-    fn tracelog_counts_and_caps() {
-        let mut log = TraceLog::with_capacity_limit(2);
-        log.event(TraceEvent::TickStart { cycle: 0 });
-        log.event(TraceEvent::CycleCompleted { cycle: 0, pid: Pid(0) });
-        log.event(TraceEvent::Commit { cycle: 0, addr: 3, value: 1 });
-        log.event(TraceEvent::CycleInterrupted { cycle: 0, pid: Pid(1) });
-        assert_eq!(log.events().len(), 2, "capped");
-        assert_eq!(log.completions, 1);
-        assert_eq!(log.commits, 1);
-        assert_eq!(log.interruptions, 1);
+    fn write_json_matches_serde_for_every_variant() {
+        let points = [FailPoint::BeforeReads, FailPoint::BeforeWrites, FailPoint::AfterWrite(0)];
+        let mut checked = 0;
+        for (n, w) in [(0, 0), (1, 9), (10, 99), (u64::MAX, usize::MAX)] {
+            let mut events = vec![
+                TraceEvent::TickStart { cycle: n },
+                TraceEvent::CycleCompleted { cycle: n, pid: Pid(w) },
+                TraceEvent::CycleInterrupted { cycle: n, pid: Pid(w) },
+                TraceEvent::Restart { cycle: n, pid: Pid(w) },
+                TraceEvent::Commit { cycle: n, addr: w, value: n },
+                TraceEvent::Commit { cycle: 0, addr: w, value: u64::MAX },
+                TraceEvent::Completed { cycle: n },
+            ];
+            for point in points {
+                let point = match point {
+                    FailPoint::AfterWrite(_) => FailPoint::AfterWrite(w),
+                    p => p,
+                };
+                events.push(TraceEvent::Failure { cycle: n, pid: Pid(w), point });
+            }
+            let mut out = Vec::new();
+            for e in &events {
+                out.clear();
+                e.write_json(&mut out);
+                let want = serde::json::to_string(e);
+                assert_eq!(std::str::from_utf8(&out).unwrap(), want);
+                let back: TraceEvent = serde::json::from_str(&want).unwrap();
+                assert_eq!(back, *e, "event {want} did not round-trip");
+                checked += 1;
+            }
+        }
+        assert_eq!(checked, 4 * 10);
+    }
+
+    #[test]
+    fn write_json_appends_without_clearing() {
+        let mut out = b"prefix ".to_vec();
+        TraceEvent::TickStart { cycle: 7 }.write_json(&mut out);
+        assert_eq!(out, b"prefix {\"TickStart\":{\"cycle\":7}}");
     }
 
     #[test]
@@ -575,21 +626,6 @@ mod tests {
         let kept = rec.to_vec();
         assert_eq!(kept[0], TraceEvent::CycleCompleted { cycle: 0, pid: Pid(0) });
         assert_eq!(kept[1], TraceEvent::TickStart { cycle: 1 });
-    }
-
-    #[test]
-    fn trace_event_serde_roundtrip() {
-        let events = vec![
-            TraceEvent::TickStart { cycle: 3 },
-            TraceEvent::Failure { cycle: 3, pid: Pid(2), point: FailPoint::AfterWrite(1) },
-            TraceEvent::Commit { cycle: 3, addr: 17, value: 9 },
-            TraceEvent::Completed { cycle: 4 },
-        ];
-        for e in &events {
-            let text = serde::json::to_string(e);
-            let back: TraceEvent = serde::json::from_str(&text).unwrap();
-            assert_eq!(back, *e, "event {text} did not round-trip");
-        }
     }
 
     #[test]
@@ -707,14 +743,14 @@ mod tests {
 
     #[test]
     fn tee_duplicates_events() {
-        let mut a = TraceLog::new();
-        let mut b = TraceRecorder::unbounded();
+        let mut a = TraceRecorder::unbounded();
+        let mut b = TraceRecorder::with_capacity(1);
         {
             let mut tee = Tee(&mut a, &mut b);
             tee.event(TraceEvent::TickStart { cycle: 0 });
             tee.event(TraceEvent::CycleCompleted { cycle: 0, pid: Pid(0) });
         }
-        assert_eq!(a.events().len(), 2);
-        assert_eq!(b.len(), 2);
+        assert_eq!(a.len(), 2);
+        assert_eq!((b.len(), b.total_events), (1, 2));
     }
 }

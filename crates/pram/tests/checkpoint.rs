@@ -267,3 +267,93 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// The copy-free path writes the struct path's bytes: pause a faulty
+    /// run anywhere, under the flat or a banked layout, and the frame
+    /// `encode_checkpoint_into` appends equals
+    /// `save_checkpoint()?.encode_state_into()` byte for byte.
+    #[test]
+    fn copy_free_frame_equals_the_struct_encoding(
+        p in 2usize..12,
+        banks in 0usize..4,
+        pause_at in 0u64..40,
+        raw in proptest::collection::vec((1usize..12, any::<bool>()), 0..48),
+    ) {
+        let layout = match banks {
+            0 => MemoryLayout::Flat,
+            banks => MemoryLayout::Banked { banks, interleave: 2 },
+        };
+        let prog = SteppedGrind { n: 3 * p, target: 4 };
+        let mut m = Machine::with_layout(&prog, p, CycleBudget::PAPER, layout).unwrap();
+        let mut adv = ScheduledAdversary::new(legal_schedule(p, raw));
+        let limits = RunLimits { max_cycles: 1_000_000 };
+        let _ = m
+            .run_controlled(&mut adv, limits, &mut TraceRecorder::unbounded(), |cycle| {
+                if cycle >= pause_at { RunControl::Pause } else { RunControl::Continue }
+            })
+            .unwrap();
+        let mut want = Vec::new();
+        let ck = m.save_checkpoint(&adv).unwrap();
+        let want_len = ck.encode_state_into(&mut want);
+        let mut got = b"preamble".to_vec();
+        let got_len = m.encode_checkpoint_into(&adv, &mut got).unwrap();
+        prop_assert_eq!(got_len, want_len);
+        prop_assert_eq!(&got[8..], &want[..]);
+        // Completed with the policy payload, the frame decodes back to the
+        // saved checkpoint.
+        Checkpoint::encode_policy_into(&ck.policy, &mut got);
+        prop_assert_eq!(Checkpoint::decode(&got[8..]).unwrap(), ck);
+    }
+}
+
+/// The mid-run case the session layer cares about, pinned: a banked
+/// machine paused with failed processors and a non-empty failure pattern.
+/// A non-checkpointable adversary appends nothing and errs like
+/// `save_checkpoint`.
+#[test]
+fn copy_free_frame_mid_run_with_failures() {
+    let prog = SteppedGrind { n: 10, target: 5 };
+    let layout = MemoryLayout::Banked { banks: 3, interleave: 2 };
+    let mut m = Machine::with_layout(&prog, 4, CycleBudget::PAPER, layout).unwrap();
+    let pattern: FailurePattern = [
+        (FailureKind::Failure { point: FailPoint::BeforeWrites }, 1, 1),
+        (FailureKind::Failure { point: FailPoint::BeforeReads }, 2, 2),
+        (FailureKind::Restart, 1, 4),
+        (FailureKind::Restart, 2, 9),
+    ]
+    .into_iter()
+    .map(|(kind, pid, time)| FailureEvent { kind, pid, time })
+    .collect();
+    let mut adv = ScheduledAdversary::new(pattern);
+    let status = m
+        .run_controlled(&mut adv, RunLimits::default(), &mut TraceRecorder::unbounded(), |c| {
+            if c >= 6 {
+                RunControl::Pause
+            } else {
+                RunControl::Continue
+            }
+        })
+        .unwrap();
+    assert!(matches!(status, RunStatus::Paused { cycle: 6 }));
+    let ck = m.save_checkpoint(&adv).unwrap();
+    assert_eq!(ck.pattern.size(), 3, "two failures and one restart so far");
+    assert!(ck.procs.iter().any(|pc| pc.status == ProcStatus::Failed));
+    let mut want = Vec::new();
+    ck.encode_state_into(&mut want);
+    let mut got = Vec::new();
+    m.encode_checkpoint_into(&adv, &mut got).unwrap();
+    assert_eq!(got, want);
+
+    struct Opaque;
+    impl rfsp_pram::Adversary for Opaque {
+        fn decide(&mut self, _view: &rfsp_pram::MachineView<'_>) -> rfsp_pram::Decisions {
+            rfsp_pram::Decisions::none()
+        }
+    }
+    let mut out = Vec::new();
+    assert!(m.encode_checkpoint_into(&Opaque, &mut out).is_err());
+    assert!(out.is_empty(), "a refused checkpoint must append nothing");
+}

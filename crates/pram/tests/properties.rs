@@ -2,9 +2,9 @@
 
 use proptest::prelude::*;
 use rfsp_pram::{
-    CycleBudget, FailPoint, FailureEvent, FailureKind, FailurePattern, LayoutBuilder, Machine, Pid,
-    Program, ReadSet, RunLimits, ScheduledAdversary, SharedMemory, Step, TraceRecorder, Word,
-    WriteMode, WriteSet,
+    CycleBudget, FailPoint, FailureEvent, FailureKind, FailurePattern, LayoutBuilder, Machine,
+    Observer, Pid, Program, ReadSet, RunLimits, ScheduledAdversary, SharedMemory, Step, TraceEvent,
+    TraceRecorder, Word, WriteMode, WriteSet,
 };
 
 proptest! {
@@ -51,6 +51,53 @@ proptest! {
         prop_assert_eq!(pattern.size(), events.len());
         prop_assert_eq!(pattern.failure_count() + pattern.restart_count(), events.len());
         prop_assert_eq!(pattern.events(), &events[..]);
+    }
+
+    /// Random event sequences, with fields spread over every magnitude:
+    /// the allocation-free encoder renders each event exactly as the serde
+    /// reference does, the recorder's JSONL is the concatenation of those
+    /// lines, and every line parses back to its event.
+    #[test]
+    fn event_encoder_matches_serde(raw in proptest::collection::vec(
+        (0u8..7, (any::<u64>(), 0u32..64), (any::<u64>(), 0u32..64), any::<u64>(), 0u8..3),
+        0..64,
+    )) {
+        let events: Vec<TraceEvent> = raw
+            .into_iter()
+            .map(|(variant, (c, cs), (a, as_), value, point)| {
+                let cycle = c >> cs;
+                let a = (a >> as_) as usize;
+                let point = match point {
+                    0 => FailPoint::BeforeReads,
+                    1 => FailPoint::BeforeWrites,
+                    _ => FailPoint::AfterWrite(a),
+                };
+                match variant {
+                    0 => TraceEvent::TickStart { cycle },
+                    1 => TraceEvent::CycleCompleted { cycle, pid: Pid(a) },
+                    2 => TraceEvent::CycleInterrupted { cycle, pid: Pid(a) },
+                    3 => TraceEvent::Failure { cycle, pid: Pid(a), point },
+                    4 => TraceEvent::Restart { cycle, pid: Pid(a) },
+                    5 => TraceEvent::Commit { cycle, addr: a, value },
+                    _ => TraceEvent::Completed { cycle },
+                }
+            })
+            .collect();
+        let mut rec = TraceRecorder::unbounded();
+        let mut want = String::new();
+        let mut line = Vec::new();
+        for e in &events {
+            rec.event(*e);
+            line.clear();
+            e.write_json(&mut line);
+            let reference = serde::json::to_string(e);
+            prop_assert_eq!(std::str::from_utf8(&line).unwrap(), reference.as_str());
+            let back: TraceEvent = serde::json::from_str(&reference).unwrap();
+            prop_assert_eq!(back, *e);
+            want.push_str(&reference);
+            want.push('\n');
+        }
+        prop_assert_eq!(rec.to_jsonl(), want);
     }
 }
 

@@ -10,9 +10,9 @@
 use proptest::prelude::*;
 use rfsp_pram::snapshot::{SnapshotMachine, SnapshotProgram, SnapshotView};
 use rfsp_pram::{
-    Checkpoint, CompletionHint, FailPoint, FailureEvent, FailureKind, FailurePattern, Pid,
-    RunControl, RunLimits, RunStatus, ScheduledAdversary, SharedMemory, Step, TraceRecorder, Word,
-    WriteSet,
+    Checkpoint, CompletionHint, FailPoint, FailureEvent, FailureKind, FailurePattern, MemoryLayout,
+    NoopObserver, Pid, RunControl, RunLimits, RunStatus, ScheduledAdversary, SharedMemory, Step,
+    TraceRecorder, Word, WriteSet,
 };
 
 /// Round-trip `ck` through the binary checkpoint codec.
@@ -209,4 +209,37 @@ fn cross_model_restore_is_refused() {
             if detail.contains("word") && detail.contains("snapshot")),
         "{err:?}"
     );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+    /// The snapshot machine's copy-free checkpoint frame equals the struct
+    /// path's, flat and banked, paused anywhere in a faulty run.
+    #[test]
+    fn copy_free_frame_equals_the_struct_encoding(
+        p in 2usize..10,
+        banks in 0usize..4,
+        pause_at in 0u64..30,
+        raw in proptest::collection::vec((1usize..10, any::<bool>()), 0..40),
+    ) {
+        let layout = match banks {
+            0 => MemoryLayout::Flat,
+            banks => MemoryLayout::Banked { banks, interleave: 3 },
+        };
+        let prog = SteppedSnap { n: 4 * p };
+        let mut m = SnapshotMachine::with_layout(&prog, p, 1, layout).unwrap();
+        let mut adv = ScheduledAdversary::new(legal_schedule(p, raw));
+        let _ = m
+            .run_controlled(&mut adv, RunLimits::default(), &mut NoopObserver, |cycle| {
+                if cycle >= pause_at { RunControl::Pause } else { RunControl::Continue }
+            })
+            .unwrap();
+        let mut want = Vec::new();
+        let want_len = m.save_checkpoint(&adv).unwrap().encode_state_into(&mut want);
+        let mut got = Vec::new();
+        let got_len = m.encode_checkpoint_into(&adv, &mut got).unwrap();
+        prop_assert_eq!(got_len, want_len);
+        prop_assert_eq!(got, want);
+    }
 }

@@ -1,13 +1,14 @@
 //! The events-JSONL sink with offset-truncate resume.
 //!
-//! Every machine event is rendered as one JSON line. The log tracks the
-//! byte offset of everything *flushed* — the only prefix a checkpoint may
-//! safely reference — and a resumed run truncates the file back to the
-//! checkpointed offset before continuing, so the final stream is
-//! byte-identical to an uninterrupted run's.
+//! Every machine event is rendered as one JSON line by
+//! [`TraceEvent::write_json`], straight into the writer's buffer. The log
+//! tracks the byte offset of everything *flushed* — the only prefix a
+//! checkpoint may safely reference — and a resumed run truncates the file
+//! back to the checkpointed offset before continuing, so the final stream
+//! is byte-identical to an uninterrupted run's.
 
 use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Read as _, Seek, SeekFrom, Write};
+use std::io::{Read as _, Seek, SeekFrom, Write};
 
 use rfsp_pram::{Observer, TraceEvent};
 
@@ -20,23 +21,46 @@ pub fn count_tick_starts(bytes: &[u8]) -> u64 {
     bytes.windows(NEEDLE.len()).filter(|w| *w == NEEDLE).count() as u64
 }
 
+/// Buffered bytes past which an event is followed by a write to the file.
+const FLUSH_AT: usize = 64 * 1024;
+
 /// Streams events as JSONL, tracking the flushed byte offset.
 struct EventWriter {
     path: String,
-    out: BufWriter<File>,
+    file: File,
+    /// Encoded lines not yet written to `file`. Events are rendered
+    /// straight into it ([`TraceEvent::write_json`]); it is written out
+    /// once it passes [`FLUSH_AT`] bytes, and at every flush.
+    buf: Vec<u8>,
     bytes: u64,
     err: Option<std::io::Error>,
 }
 
 impl EventWriter {
-    fn flush(&mut self) -> Result<u64, RunError> {
-        if let Err(e) = self.out.flush() {
-            self.err.get_or_insert(e);
+    fn write_buffered(&mut self) {
+        if self.err.is_none() {
+            if let Err(e) = self.file.write_all(&self.buf) {
+                self.err = Some(e);
+            }
         }
+        self.buf.clear();
+    }
+
+    fn flush(&mut self) -> Result<u64, RunError> {
+        self.write_buffered();
         match self.err.take() {
             Some(e) => Err(io_err("write events to", &self.path, &e)),
             None => Ok(self.bytes),
         }
+    }
+}
+
+impl Drop for EventWriter {
+    /// Write out what is buffered, as a `BufWriter` would; errors are
+    /// lost here — [`EventLog::checkpointable_offset`] is where they
+    /// surface.
+    fn drop(&mut self) {
+        self.write_buffered();
     }
 }
 
@@ -45,12 +69,12 @@ impl Observer for EventWriter {
         if self.err.is_some() {
             return;
         }
-        let mut line = serde::json::to_string(&event);
-        line.push('\n');
-        if let Err(e) = self.out.write_all(line.as_bytes()) {
-            self.err = Some(e);
-        } else {
-            self.bytes += line.len() as u64;
+        let start = self.buf.len();
+        event.write_json(&mut self.buf);
+        self.buf.push(b'\n');
+        self.bytes += (self.buf.len() - start) as u64;
+        if self.buf.len() >= FLUSH_AT {
+            self.write_buffered();
         }
     }
 }
@@ -99,7 +123,8 @@ impl EventLog {
         };
         let writer = EventWriter {
             path: path.to_string(),
-            out: BufWriter::new(file),
+            file,
+            buf: Vec::with_capacity(FLUSH_AT + 256),
             bytes: resume_offset.unwrap_or(0),
             err: None,
         };
@@ -129,7 +154,7 @@ impl EventLog {
         let Some(w) = &mut self.0 else { return Ok(()) };
         w.flush()?;
         let path = w.path.clone();
-        let f = w.out.get_mut();
+        let f = &mut w.file;
         f.set_len(offset).map_err(|e| io_err("truncate", &path, &e))?;
         f.seek(SeekFrom::End(0)).map_err(|e| io_err("seek", &path, &e))?;
         w.bytes = offset;

@@ -83,6 +83,20 @@ pub trait RunHost {
         adversary: &dyn SaveableAdversary,
     ) -> Result<Checkpoint, PramError>;
 
+    /// Append the machine-state frame of a checkpoint of machine +
+    /// adversary to `out` — the bytes
+    /// `host_save_checkpoint(adversary)?.encode_state_into(out)` writes,
+    /// without building the [`Checkpoint`] — and return its length.
+    ///
+    /// # Errors
+    ///
+    /// See [`PramError`]; nothing is appended then.
+    fn host_encode_checkpoint(
+        &self,
+        adversary: &dyn SaveableAdversary,
+        out: &mut Vec<u8>,
+    ) -> Result<usize, PramError>;
+
     /// Rehydrate machine + adversary from a checkpoint.
     ///
     /// # Errors
@@ -201,6 +215,14 @@ where
         self.save_checkpoint(&SaveView(adversary))
     }
 
+    fn host_encode_checkpoint(
+        &self,
+        adversary: &dyn SaveableAdversary,
+        out: &mut Vec<u8>,
+    ) -> Result<usize, PramError> {
+        self.encode_checkpoint_into(&SaveView(adversary), out)
+    }
+
     fn host_restore_checkpoint(
         &mut self,
         ck: &Checkpoint,
@@ -261,6 +283,14 @@ where
         adversary: &dyn SaveableAdversary,
     ) -> Result<Checkpoint, PramError> {
         self.save_checkpoint(&SaveView(adversary))
+    }
+
+    fn host_encode_checkpoint(
+        &self,
+        adversary: &dyn SaveableAdversary,
+        out: &mut Vec<u8>,
+    ) -> Result<usize, PramError> {
+        self.encode_checkpoint_into(&SaveView(adversary), out)
     }
 
     fn host_restore_checkpoint(

@@ -14,8 +14,9 @@
 //! 3. hand control to the caller (`on_pause`), who may stop the session
 //!    (checkpointed, resumable) or let it continue;
 //! 4. on a surfaced worker panic, rewind machine + adversary + policy
-//!    engine + events log to the last checkpoint and replay, with the
-//!    wasted-work counters recording the overhead.
+//!    engine + events log to the last checkpoint — decoded from the bytes
+//!    last published, which the session keeps in memory — and replay,
+//!    with the wasted-work counters recording the overhead.
 
 use std::time::Instant;
 
@@ -25,7 +26,7 @@ use rfsp_pram::{
 };
 
 use crate::atomic::write_atomic;
-use crate::checkpoint::{encode_preamble, SessionCheckpoint, SESSION_CHECKPOINT_VERSION};
+use crate::checkpoint::{encode_preamble, SessionCheckpoint};
 use crate::config::{build_adversary, RunConfig};
 use crate::events::EventLog;
 use crate::host::{ExecMode, RunHost};
@@ -81,11 +82,13 @@ pub struct RunSession<'a, M: RunHost> {
     engine: PolicyEngine,
     events: EventLog,
     wasted: WastedWork,
-    /// The last published snapshot, kept in memory: a surfaced worker
-    /// panic is handled like a crash — rewind to it and replay.
-    last_saved: Option<SessionCheckpoint>,
-    /// Encode buffer reused by every checkpoint.
-    encoded: Vec<u8>,
+    /// The last published checkpoint, byte for byte as it went to disk: a
+    /// surfaced worker panic is handled like a crash — decode it, rewind
+    /// to it and replay.
+    published: Option<Vec<u8>>,
+    /// Encode buffer of the next checkpoint; it trades places with
+    /// `published` once its bytes are durable, so both are reused.
+    staging: Vec<u8>,
     last_pause: Option<u64>,
     exec: ExecMode<'a>,
     rebuild: Box<dyn FnMut() -> Result<M, PramError> + 'a>,
@@ -115,8 +118,8 @@ impl<'a, M: RunHost> RunSession<'a, M> {
             engine,
             events,
             wasted: WastedWork::default(),
-            last_saved: None,
-            encoded: Vec::new(),
+            published: None,
+            staging: Vec::new(),
             last_pause: None,
             exec,
             rebuild,
@@ -156,6 +159,8 @@ impl<'a, M: RunHost> RunSession<'a, M> {
             "resumed from tick {} ({} event bytes kept, {replayed_tail} ticks to replay)",
             ck.machine.cycle, ck.events_offset
         );
+        let mut published = Vec::new();
+        ck.encode_into(&mut published);
         Ok(RunSession {
             cfg,
             machine,
@@ -163,8 +168,8 @@ impl<'a, M: RunHost> RunSession<'a, M> {
             engine,
             events,
             wasted,
-            last_saved: Some(ck),
-            encoded: Vec::new(),
+            published: Some(published),
+            staging: Vec::new(),
             last_pause: None,
             exec,
             rebuild,
@@ -281,7 +286,7 @@ impl<'a, M: RunHost> RunSession<'a, M> {
 
     /// Publish a checkpoint if the cadence is due at `cycle` — or
     /// unconditionally when the pause was `forced` externally — and keep
-    /// it in memory as the panic-rewind target.
+    /// its bytes in memory as the panic-rewind target.
     fn checkpoint_if_due(&mut self, cycle: u64, forced: bool) -> Result<bool, RunError> {
         let offset = self.events.checkpointable_offset()?;
         let Some(path) = self.cfg.checkpoint.as_deref() else { return Ok(false) };
@@ -289,32 +294,28 @@ impl<'a, M: RunHost> RunSession<'a, M> {
             return Ok(false);
         }
         let started = Instant::now();
-        let mut machine_ck =
-            self.machine.host_save_checkpoint(&self.adversary).map_err(|e| machine_err(&e))?;
-        // Encode once, into the reused buffer: preamble, machine state,
-        // then the policy payload — which the engine can only produce
-        // after it has been fed the machine state's size (a pure function
-        // of machine state, identical in a resumed and an uninterrupted
-        // run).
-        let buf = &mut self.encoded;
+        // Encode once, straight from the machine into the reused buffer:
+        // preamble, machine state, then the policy payload — which the
+        // engine can only produce after it has been fed the machine
+        // state's size (a pure function of machine state, identical in a
+        // resumed and an uninterrupted run).
+        let buf = &mut self.staging;
         buf.clear();
         encode_preamble(buf, &self.cfg, offset, &self.wasted);
-        let machine_bytes = machine_ck.encode_state_into(buf);
+        let machine_bytes = self
+            .machine
+            .host_encode_checkpoint(&self.adversary, buf)
+            .map_err(|e| machine_err(&e))?;
         self.engine.record_checkpoint(cycle, machine_bytes as u64);
-        machine_ck.policy = self.engine.save_state();
-        Checkpoint::encode_policy_into(&machine_ck.policy, buf);
+        Checkpoint::encode_policy_into(&self.engine.save_state(), buf);
         let file_bytes = write_atomic(path, &*buf)?;
-        let ck = SessionCheckpoint {
-            version: SESSION_CHECKPOINT_VERSION,
-            config: self.cfg.clone(),
-            events_offset: offset,
-            wasted: self.wasted,
-            machine: machine_ck,
-        };
         self.wasted.checkpoints += 1;
         self.wasted.checkpoint_bytes += file_bytes;
         self.wasted.checkpoint_ns += started.elapsed().as_nanos() as u64;
-        self.last_saved = Some(ck);
+        let durable = std::mem::take(&mut self.staging);
+        if let Some(previous) = self.published.replace(durable) {
+            self.staging = previous;
+        }
         Ok(true)
     }
 
@@ -327,8 +328,9 @@ impl<'a, M: RunHost> RunSession<'a, M> {
         let escalated = self.engine.record_panic();
         let panicked_at = self.machine.host_cycle();
         self.wasted.restores += 1;
-        match &self.last_saved {
-            Some(saved) => {
+        match &self.published {
+            Some(bytes) => {
+                let saved = SessionCheckpoint::decode(bytes)?;
                 self.engine.restore_state(&saved.machine.policy).map_err(|e| machine_err(&e))?;
                 self.machine
                     .host_restore_checkpoint(&saved.machine, &mut *self.adversary)

@@ -3,9 +3,14 @@
 //! stream to an uninterrupted one, and [`run_with_cut`] must agree with a
 //! straight run.
 
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+
 use rfsp_adversary::RandomFaults;
 use rfsp_core::{AlgoX, WriteAllTasks, XOptions};
-use rfsp_pram::{CycleBudget, LayoutBuilder, Machine, PolicyKind, RunLimits};
+use rfsp_pram::{
+    CompletionHint, CycleBudget, LayoutBuilder, Machine, Pid, PolicyKind, Program, ReadSet,
+    RunLimits, SharedMemory, Step, Word, WriteSet,
+};
 use rfsp_run::{
     run_with_cut, ExecMode, PauseFlow, RunConfig, RunSession, SessionCheckpoint, SessionEnd,
 };
@@ -130,4 +135,111 @@ fn run_with_cut_matches_a_straight_run() {
     .unwrap();
     let (reference, resumed) = outcome.policy_states.expect("cut must happen before completion");
     assert_eq!(reference, resumed, "policy engine diverged across the cut");
+}
+
+/// A program that behaves exactly like `inner`, except that the first
+/// `execute` of tick `at` panics — once, before touching any state — as a
+/// worker bug would. The session's pause hook reports the tick in
+/// `now`.
+struct PanicAtTick<'a, P> {
+    inner: &'a P,
+    at: u64,
+    now: &'a AtomicU64,
+    armed: AtomicBool,
+}
+
+impl<P: Program> Program for PanicAtTick<'_, P> {
+    type Private = P::Private;
+
+    fn shared_size(&self) -> usize {
+        self.inner.shared_size()
+    }
+
+    fn init_memory(&self, mem: &mut SharedMemory) {
+        self.inner.init_memory(mem);
+    }
+
+    fn on_start(&self, pid: Pid) -> Self::Private {
+        self.inner.on_start(pid)
+    }
+
+    fn plan(&self, pid: Pid, state: &Self::Private, values: &[Word], reads: &mut ReadSet) {
+        self.inner.plan(pid, state, values, reads);
+    }
+
+    fn execute(
+        &self,
+        pid: Pid,
+        state: &mut Self::Private,
+        values: &[Word],
+        writes: &mut WriteSet,
+    ) -> Step {
+        if self.now.load(Ordering::SeqCst) == self.at && self.armed.swap(false, Ordering::SeqCst) {
+            panic!("injected panic at tick {}", self.at);
+        }
+        self.inner.execute(pid, state, values, writes)
+    }
+
+    fn is_complete(&self, mem: &SharedMemory) -> bool {
+        self.inner.is_complete(mem)
+    }
+
+    fn completion_hint(&self, addr: usize, value: Word) -> CompletionHint {
+        self.inner.completion_hint(addr, value)
+    }
+}
+
+/// A worker panic after the first checkpoint rewinds the session to the
+/// checkpoint bytes it kept in memory — the file on disk is deleted
+/// before the panic, so nothing else could serve — and the run finishes
+/// with the uninterrupted run's events, one restore, and exactly the
+/// ticks since that checkpoint replayed.
+#[test]
+fn panic_rewinds_to_the_retained_checkpoint_bytes() {
+    const PANIC_AT: u64 = 12;
+    let dir = test_dir("panic");
+    let mut base = config(&dir, "base");
+    base.n = 256;
+    assert!(drive(&base, None, false), "baseline must complete");
+
+    let cfg = RunConfig { n: 256, ..config(&dir, "panic") };
+    let mut layout = LayoutBuilder::new();
+    let tasks = WriteAllTasks::new(&mut layout, cfg.n as usize);
+    let x = AlgoX::new(&mut layout, tasks, cfg.p as usize, XOptions::default());
+    let now = AtomicU64::new(0);
+    let prog = PanicAtTick { inner: &x, at: PANIC_AT, now: &now, armed: AtomicBool::new(true) };
+    let build = Box::new(|| Machine::new(&prog, cfg.p as usize, CycleBudget::PAPER));
+    let mut session = RunSession::new(cfg.clone(), ExecMode::Sequential, build).unwrap();
+    let ck_path = cfg.checkpoint.clone().unwrap();
+    let mut last_ck_before_panic = None;
+    let end = session
+        .run(
+            &mut |cycle| {
+                if cycle == PANIC_AT && prog.armed.load(Ordering::SeqCst) {
+                    std::fs::remove_file(&ck_path).unwrap();
+                }
+                now.store(cycle, Ordering::SeqCst);
+                false
+            },
+            &mut |pause| {
+                if pause.checkpointed && prog.armed.load(Ordering::SeqCst) {
+                    last_ck_before_panic = Some(pause.cycle);
+                }
+                PauseFlow::Continue
+            },
+            &mut rfsp_pram::NoopObserver,
+        )
+        .unwrap();
+    assert!(!prog.armed.load(Ordering::SeqCst), "the injected panic never fired");
+    let SessionEnd::Completed(_) = end else { panic!("session stopped") };
+    assert!(tasks.all_written(session.memory()));
+
+    let ck_cycle = last_ck_before_panic.expect("a checkpoint precedes the panic");
+    assert_eq!(ck_cycle, 10, "fixed:5 checkpoints at ticks 5 and 10");
+    assert_eq!(session.wasted().restores, 1);
+    assert_eq!(session.wasted().replayed_ticks, PANIC_AT - ck_cycle);
+    let want = std::fs::read(base.events.as_deref().unwrap()).unwrap();
+    let got = std::fs::read(cfg.events.as_deref().unwrap()).unwrap();
+    assert!(want == got, "rewound event stream diverged from the uninterrupted run");
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -101,34 +101,46 @@ fn fail_points_inside_cycles_are_all_exercised() {
     assert!(tasks.all_written(m.memory()));
 }
 
-/// The event stream independently witnesses the accounting: TraceLog
-/// totals must equal WorkStats on an adversarial run.
+/// The event stream independently witnesses the accounting: totals
+/// counted from a recorded stream must equal WorkStats on an adversarial
+/// run.
 #[test]
 fn trace_log_matches_work_stats() {
-    use rfsp::pram::{RunLimits, TraceEvent, TraceLog};
+    use rfsp::pram::{RunLimits, TraceEvent, TraceRecorder};
     let mut layout = LayoutBuilder::new();
     let tasks = WriteAllTasks::new(&mut layout, 100);
     let prog = AlgoX::new(&mut layout, tasks, 20, XOptions::default());
     let mut adv = RandomFaults::new(0.2, 0.6, 0xBEEF);
     let mut m = Machine::new(&prog, 20, CycleBudget::PAPER).unwrap();
-    let mut log = TraceLog::new();
-    let report = m.run_observed(&mut adv, RunLimits::default(), &mut log).unwrap();
+    let mut rec = TraceRecorder::unbounded();
+    let report = m.run_observed(&mut adv, RunLimits::default(), &mut rec).unwrap();
 
-    assert_eq!(log.completions, report.stats.completed_cycles);
-    assert_eq!(log.interruptions, report.stats.interrupted_cycles);
-    assert_eq!(log.failures, report.stats.failures);
-    assert_eq!(log.restarts, report.stats.restarts);
-    assert!(log.commits >= 100, "every array cell was committed at least once");
-    // The stream ends with the completion event.
-    assert!(matches!(log.events().last(), Some(TraceEvent::Completed { .. })));
-    // Ticks are monotone.
-    let mut last = 0;
-    for e in log.events() {
-        if let TraceEvent::TickStart { cycle } = e {
-            assert!(*cycle >= last);
-            last = *cycle;
+    let (mut completions, mut interruptions, mut failures, mut restarts, mut commits) =
+        (0, 0, 0, 0, 0);
+    let mut last_tick = 0;
+    for e in rec.events() {
+        match *e {
+            TraceEvent::CycleCompleted { .. } => completions += 1,
+            TraceEvent::CycleInterrupted { .. } => interruptions += 1,
+            TraceEvent::Failure { .. } => failures += 1,
+            TraceEvent::Restart { .. } => restarts += 1,
+            TraceEvent::Commit { .. } => commits += 1,
+            // Ticks are monotone.
+            TraceEvent::TickStart { cycle } => {
+                assert!(cycle >= last_tick);
+                last_tick = cycle;
+            }
+            TraceEvent::Completed { .. } => {}
         }
     }
+    assert_eq!(rec.dropped, 0);
+    assert_eq!(completions, report.stats.completed_cycles);
+    assert_eq!(interruptions, report.stats.interrupted_cycles);
+    assert_eq!(failures, report.stats.failures);
+    assert_eq!(restarts, report.stats.restarts);
+    assert!(commits >= 100, "every array cell was committed at least once");
+    // The stream ends with the completion event.
+    assert!(matches!(rec.events().last(), Some(TraceEvent::Completed { .. })));
 }
 
 /// The threaded backend is equivalent for every algorithm whose private
