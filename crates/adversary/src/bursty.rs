@@ -163,7 +163,7 @@ impl Adversary for BurstyFaults {
 mod tests {
     use super::*;
     use rfsp_core::{AlgoX, WriteAllTasks, XOptions};
-    use rfsp_pram::{CycleBudget, LayoutBuilder, Machine};
+    use rfsp_pram::{CycleBudget, LayoutBuilder, Machine, RunSpec};
 
     #[test]
     fn x_completes_under_bursty_churn() {
@@ -192,7 +192,7 @@ mod tests {
     /// instance at each pause, still reproduces the uninterrupted run.
     #[test]
     fn checkpoint_resume_preserves_modulated_stream() {
-        use rfsp_pram::{NoopObserver, RunControl, RunLimits, RunStatus};
+        use rfsp_pram::{RunControl, RunStatus};
 
         let n = 64;
         let p = 8;
@@ -209,15 +209,16 @@ mod tests {
         let mut last_pause = None;
         let report = loop {
             let lp = last_pause;
-            let status = machine
-                .run_controlled(&mut adv, RunLimits::default(), &mut NoopObserver, |cycle| {
-                    if lp == Some(cycle) {
-                        RunControl::Continue
-                    } else {
-                        RunControl::Pause
-                    }
-                })
-                .unwrap();
+            let pause = &mut |cycle| {
+                if lp == Some(cycle) {
+                    RunControl::Continue
+                } else {
+                    RunControl::Pause
+                }
+            };
+            let status =
+                machine.run_with(&mut adv, RunSpec { control: Some(pause), ..RunSpec::default() });
+            let status = status.unwrap();
             match status {
                 RunStatus::Completed(report) => break report,
                 RunStatus::Paused { cycle } => {

@@ -199,7 +199,7 @@ mod tests {
     use super::*;
     use rfsp_core::{AlgoX, SnapshotBalance, WriteAllTasks, XOptions};
     use rfsp_pram::snapshot::SnapshotMachine;
-    use rfsp_pram::{CycleBudget, LayoutBuilder, Machine};
+    use rfsp_pram::{CycleBudget, LayoutBuilder, Machine, RunSpec};
 
     #[test]
     fn forces_superlinear_work_on_snapshot_algorithm() {
@@ -242,10 +242,8 @@ mod tests {
         let mut prev = n;
         // Drive manually for a few ticks by running with a cycle cap.
         for _ in 0..5 {
-            let _ = m.run_with_limits(
-                &mut adversary,
-                rfsp_pram::RunLimits { max_cycles: m.stats().parallel_time + 1 },
-            );
+            let limits = rfsp_pram::RunLimits { max_cycles: m.stats().parallel_time + 1 };
+            let _ = m.run_with(&mut adversary, RunSpec { limits, ..RunSpec::default() });
             let now = tasks.unvisited(m.memory());
             assert!(now * 2 >= prev.saturating_sub(1), "visited more than half: {prev} -> {now}");
             prev = now;

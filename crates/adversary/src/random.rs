@@ -134,7 +134,7 @@ impl Adversary for RandomFaults {
 mod tests {
     use super::*;
     use rfsp_core::{AlgoV, AlgoX, WriteAllTasks, XOptions};
-    use rfsp_pram::{CycleBudget, LayoutBuilder, Machine};
+    use rfsp_pram::{CycleBudget, LayoutBuilder, Machine, RunSpec};
 
     #[test]
     fn x_completes_under_heavy_random_churn() {
@@ -220,7 +220,7 @@ mod tests {
     /// stream) continues exactly like the uninterrupted run.
     #[test]
     fn checkpoint_resume_preserves_random_stream() {
-        use rfsp_pram::{NoopObserver, RunControl, RunLimits, RunStatus};
+        use rfsp_pram::{RunControl, RunStatus};
 
         let n = 64;
         let p = 8;
@@ -234,15 +234,10 @@ mod tests {
 
         let mut first = Machine::new(&algo, p, CycleBudget::PAPER).unwrap();
         let mut adv1 = RandomFaults::new(0.3, 0.5, 4242).with_budget(200);
-        let status = first
-            .run_controlled(&mut adv1, RunLimits::default(), &mut NoopObserver, |cycle| {
-                if cycle == 5 {
-                    RunControl::Pause
-                } else {
-                    RunControl::Continue
-                }
-            })
-            .unwrap();
+        let pause = &mut |cycle| if cycle == 5 { RunControl::Pause } else { RunControl::Continue };
+        let status =
+            first.run_with(&mut adv1, RunSpec { control: Some(pause), ..RunSpec::default() });
+        let status = status.unwrap();
         assert!(matches!(status, RunStatus::Paused { cycle: 5 }));
         let ck = first.save_checkpoint(&adv1).unwrap();
 
@@ -266,7 +261,7 @@ mod tests {
     /// budget), not just end-of-run state.
     #[test]
     fn mid_run_cursor_roundtrips_at_every_pause() {
-        use rfsp_pram::{NoopObserver, RunControl, RunLimits, RunStatus};
+        use rfsp_pram::{RunControl, RunStatus};
 
         let n = 64;
         let p = 8;
@@ -285,15 +280,16 @@ mod tests {
         let mut pauses = 0u64;
         let report = loop {
             let lp = last_pause;
-            let status = machine
-                .run_controlled(&mut adv, RunLimits::default(), &mut NoopObserver, |cycle| {
-                    if lp == Some(cycle) {
-                        RunControl::Continue
-                    } else {
-                        RunControl::Pause
-                    }
-                })
-                .unwrap();
+            let pause = &mut |cycle| {
+                if lp == Some(cycle) {
+                    RunControl::Continue
+                } else {
+                    RunControl::Pause
+                }
+            };
+            let status =
+                machine.run_with(&mut adv, RunSpec { control: Some(pause), ..RunSpec::default() });
+            let status = status.unwrap();
             match status {
                 RunStatus::Completed(report) => break report,
                 RunStatus::Paused { cycle } => {

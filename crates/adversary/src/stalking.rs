@@ -103,7 +103,7 @@ impl Adversary for Stalking {
 mod tests {
     use super::*;
     use rfsp_core::{AccOptions, AlgoAcc, AlgoX, WriteAllTasks, XOptions};
-    use rfsp_pram::{CycleBudget, LayoutBuilder, Machine, RunLimits};
+    use rfsp_pram::{CycleBudget, LayoutBuilder, Machine, RunLimits, RunSpec};
 
     #[test]
     fn x_shrugs_off_the_stalker() {
@@ -148,8 +148,9 @@ mod tests {
         let algo = AlgoAcc::new(&mut layout, tasks, AccOptions { seed: 7 });
         let mut adversary = Stalking::new(tasks.x(), n - 1, StalkingMode::Restart);
         let mut m = Machine::new(&algo, p, CycleBudget::PAPER).unwrap();
-        let report =
-            m.run_with_limits(&mut adversary, RunLimits { max_cycles: 2_000_000 }).unwrap();
+        let limits = RunLimits { max_cycles: 2_000_000 };
+        let spec = RunSpec { limits, ..RunSpec::default() };
+        let report = m.run_with(&mut adversary, spec).unwrap().completed().unwrap();
         assert!(tasks.all_written(m.memory()));
         assert!(report.stats.failures > 0);
     }

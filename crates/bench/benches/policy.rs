@@ -45,7 +45,7 @@ use rfsp_adversary::BurstyFaults;
 use rfsp_core::{AlgoX, WriteAllTasks, XOptions};
 use rfsp_pram::{
     CycleBudget, LayoutBuilder, Machine, Observer, PolicyConfig, PolicyEngine, PolicyKind,
-    RunControl, RunLimits, RunStatus, TraceEvent,
+    RunControl, RunSpec, RunStatus, TraceEvent,
 };
 use serde::{Deserialize, Serialize};
 
@@ -130,16 +130,17 @@ fn record(intensity: f64, seed: u64) -> (Vec<u64>, u64) {
     let mut last_pause = None;
     loop {
         let lp = last_pause;
-        let status = m
-            .run_controlled(&mut adv, RunLimits::default(), &mut series, |cycle| {
-                // One pause to measure a live checkpoint's byte size.
-                if cycle >= 32 && lp.is_none() {
-                    RunControl::Pause
-                } else {
-                    RunControl::Continue
-                }
-            })
-            .expect("workload run");
+        let pause = &mut |cycle| {
+            // One pause to measure a live checkpoint's byte size.
+            if cycle >= 32 && lp.is_none() {
+                RunControl::Pause
+            } else {
+                RunControl::Continue
+            }
+        };
+        let spec =
+            RunSpec { observer: Some(&mut series), control: Some(pause), ..RunSpec::default() };
+        let status = m.run_with(&mut adv, spec).expect("workload run");
         match status {
             RunStatus::Completed(_) => break,
             RunStatus::Paused { cycle } => {

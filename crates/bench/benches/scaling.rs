@@ -39,7 +39,7 @@ use std::time::Instant;
 use rfsp_core::{SnapshotBalance, TrivialAssign, WriteAllTasks};
 use rfsp_pram::snapshot::SnapshotMachine;
 use rfsp_pram::{
-    CycleBudget, LayoutBuilder, Machine, MemoryLayout, NoFailures, RunLimits, RunReport,
+    CycleBudget, ExecMode, LayoutBuilder, Machine, MemoryLayout, NoFailures, RunReport, RunSpec,
 };
 use serde::{Deserialize, Serialize};
 
@@ -158,11 +158,8 @@ fn word_run_once(layout: MemoryLayout, n: usize, p: usize, threads: usize) -> (u
     let algo = TrivialAssign::new(tasks, p);
     let mut m = Machine::with_layout(&algo, p, CycleBudget::PAPER, layout).expect("valid layout");
     let start = Instant::now();
-    let report = if threads == 1 {
-        m.run(&mut NoFailures).expect("scaling run")
-    } else {
-        m.run_threaded(&mut NoFailures, RunLimits::default(), threads).expect("scaling run")
-    };
+    let spec = RunSpec { exec: ExecMode::Threads(threads), ..RunSpec::default() };
+    let report = m.run_with(&mut NoFailures, spec).expect("scaling run").completed().unwrap();
     let elapsed = start.elapsed().as_nanos();
     assert!(tasks.all_written(m.memory()), "write-all postcondition failed");
     (elapsed, report)

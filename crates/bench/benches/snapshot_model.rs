@@ -20,7 +20,9 @@ use rfsp_adversary::Pigeonhole;
 use rfsp_core::{SnapshotBalance, WriteAllTasks};
 use rfsp_pram::snapshot::reference::ReferenceSnapshotMachine;
 use rfsp_pram::snapshot::{SnapshotMachine, SnapshotProgram, SnapshotView};
-use rfsp_pram::{LayoutBuilder, NoFailures, Pid, SharedMemory, Step, WorkStats, WriteSet};
+use rfsp_pram::{
+    LayoutBuilder, NoFailures, Pid, RunLimits, SharedMemory, Step, WorkStats, WriteSet,
+};
 use serde::{Deserialize, Serialize};
 
 /// The size where old and new engines are compared head to head.
@@ -96,9 +98,9 @@ fn run_reference(n: usize, pigeonhole: bool) -> WorkStats {
     let algo = ScanBalance { tasks, p: n };
     let mut m = ReferenceSnapshotMachine::new(&algo, n, 1).expect("reference machine");
     let report = if pigeonhole {
-        m.run(&mut Pigeonhole::new(tasks.x())).expect("reference run")
+        m.run(&mut Pigeonhole::new(tasks.x()), RunLimits::default()).expect("reference run")
     } else {
-        m.run(&mut NoFailures).expect("reference run")
+        m.run(&mut NoFailures, RunLimits::default()).expect("reference run")
     };
     assert!(tasks.all_written(m.memory()));
     report.stats

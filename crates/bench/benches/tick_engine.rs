@@ -18,10 +18,11 @@
 //! host; on a single hardware thread the pool measures its own overhead.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rfsp_bench::{TelemetrySink, TickEngine, WriteAllRun};
+use rfsp_bench::{exec_label, TelemetrySink, WriteAllRun};
 use rfsp_core::{TrivialAssign, WriteAllTasks};
 use rfsp_pram::{
-    CycleBudget, LayoutBuilder, Machine, NoFailures, NoopObserver, Observer, PramError, RunLimits,
+    CycleBudget, ExecMode, LayoutBuilder, Machine, NoFailures, NoopObserver, Observer, PramError,
+    RunSpec,
 };
 
 /// Cells per processor: every run is exactly 64 full-width ticks.
@@ -35,13 +36,13 @@ fn processor_counts() -> Vec<usize> {
     }
 }
 
-fn engines() -> Vec<TickEngine> {
+fn engines() -> Vec<ExecMode<'static>> {
     let threads = std::thread::available_parallelism().map_or(4, |c| c.get()).clamp(2, 8);
-    vec![TickEngine::Sequential, TickEngine::Pooled { threads }]
+    vec![ExecMode::Sequential, ExecMode::Threads(threads)]
 }
 
 fn run_once(
-    engine: TickEngine,
+    exec: ExecMode<'_>,
     p: usize,
     observer: &mut dyn Observer,
 ) -> Result<WriteAllRun, PramError> {
@@ -50,12 +51,9 @@ fn run_once(
     let tasks = WriteAllTasks::new(&mut layout, n);
     let algo = TrivialAssign::new(tasks, p);
     let mut m = Machine::new(&algo, p, CycleBudget::PAPER)?;
-    let report = match engine {
-        TickEngine::Sequential => m.run_observed(&mut NoFailures, RunLimits::default(), observer),
-        TickEngine::Pooled { threads } => {
-            m.run_threaded_observed(&mut NoFailures, RunLimits::default(), threads, observer)
-        }
-    }?;
+    let spec = RunSpec { exec, observer: Some(observer), ..RunSpec::default() };
+    let status = m.run_with(&mut NoFailures, spec)?;
+    let report = status.completed().expect("a run without a control hook completes");
     Ok(WriteAllRun { report, verified: tasks.all_written(m.memory()) })
 }
 
@@ -63,7 +61,7 @@ fn bench_tick_engine(c: &mut Criterion) {
     let mut group = c.benchmark_group("tick_engine");
     for &p in &processor_counts() {
         for engine in engines() {
-            group.bench_with_input(BenchmarkId::new(engine.label(), p), &p, |b, &p| {
+            group.bench_with_input(BenchmarkId::new(exec_label(engine), p), &p, |b, &p| {
                 b.iter(|| run_once(engine, p, &mut NoopObserver).expect("bench run"))
             });
         }
@@ -81,11 +79,12 @@ fn emit_artifact(_c: &mut Criterion) {
         for engine in engines() {
             let n = CELLS_PER_PROC * p;
             let run = sink
-                .observe(format!("{}-p{p}", engine.label()), "Trivial", n, p, |obs| {
+                .observe(format!("{}-p{p}", exec_label(engine)), "Trivial", n, p, |obs| {
                     run_once(engine, p, obs)
                 })
                 .expect("observed run");
-            assert!(run.verified, "write-all postcondition failed for {} p={p}", engine.label());
+            let label = exec_label(engine);
+            assert!(run.verified, "write-all postcondition failed for {label} p={p}");
         }
     }
     if let Some(path) = sink.finish() {

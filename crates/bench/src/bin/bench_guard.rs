@@ -51,7 +51,7 @@
 use std::time::Instant;
 
 use rfsp_core::{TrivialAssign, WriteAllTasks};
-use rfsp_pram::{CycleBudget, LayoutBuilder, Machine, MemoryLayout, NoFailures, RunLimits};
+use rfsp_pram::{CycleBudget, ExecMode, LayoutBuilder, Machine, MemoryLayout, NoFailures, RunSpec};
 use serde::{Deserialize, Serialize};
 
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
@@ -130,11 +130,8 @@ fn scale_run_once(threads: usize) -> f64 {
     let algo = TrivialAssign::new(tasks, p);
     let mut m = Machine::new(&algo, p, CycleBudget::PAPER).expect("valid machine");
     let start = Instant::now();
-    if threads == 1 {
-        m.run(&mut NoFailures).expect("guard run");
-    } else {
-        m.run_threaded(&mut NoFailures, RunLimits::default(), threads).expect("guard run");
-    }
+    let spec = RunSpec { exec: ExecMode::Threads(threads), ..RunSpec::default() };
+    m.run_with(&mut NoFailures, spec).expect("guard run");
     let elapsed = start.elapsed().as_nanos();
     assert!(tasks.all_written(m.memory()), "write-all postcondition failed");
     elapsed as f64 / SCALE_N as f64

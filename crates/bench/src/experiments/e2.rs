@@ -5,7 +5,7 @@
 use rfsp_adversary::Pigeonhole;
 use rfsp_core::{SnapshotBalance, WriteAllTasks};
 use rfsp_pram::snapshot::SnapshotMachine;
-use rfsp_pram::{LayoutBuilder, NoopObserver, Observer, RunLimits, WorkStats};
+use rfsp_pram::{LayoutBuilder, NoopObserver, Observer, RunLimits, RunSpec, WorkStats};
 
 use crate::{fmt, loglog_slope, print_table, run_write_all_with_observed, Algo, TelemetrySink};
 
@@ -18,8 +18,11 @@ pub fn snapshot_under_pigeonhole_observed(n: usize, observer: &mut dyn Observer)
     let algo = SnapshotBalance::new(tasks, n);
     let mut m = SnapshotMachine::new(&algo, n, 1).expect("snapshot machine");
     let mut adversary = Pigeonhole::new(tasks.x());
-    let report =
-        m.run_observed(&mut adversary, RunLimits::default(), observer).expect("snapshot run");
+    let report = m
+        .run_with(&mut adversary, RunSpec { observer: Some(observer), ..RunSpec::default() })
+        .expect("snapshot run")
+        .completed()
+        .expect("a run without a control hook completes");
     assert!(tasks.all_written(m.memory()));
     report.stats
 }

@@ -4,7 +4,7 @@
 use rfsp_adversary::Pigeonhole;
 use rfsp_core::{SnapshotBalance, WriteAllTasks};
 use rfsp_pram::snapshot::SnapshotMachine;
-use rfsp_pram::{LayoutBuilder, NoFailures, Observer, RunLimits, WorkStats};
+use rfsp_pram::{LayoutBuilder, NoFailures, Observer, RunLimits, RunSpec, WorkStats};
 
 use crate::{fmt, print_table, TelemetrySink};
 
@@ -14,12 +14,14 @@ fn run_snapshot(n: usize, with_adversary: bool, observer: &mut dyn Observer) -> 
     let algo = SnapshotBalance::new(tasks, n);
     let mut m = SnapshotMachine::new(&algo, n, 1).expect("snapshot machine");
     let limits = RunLimits::default();
-    let report = if with_adversary {
-        let mut adversary = Pigeonhole::new(tasks.x());
-        m.run_observed(&mut adversary, limits, observer).expect("snapshot run")
+    let spec = RunSpec { limits, observer: Some(observer), ..RunSpec::default() };
+    let status = if with_adversary {
+        m.run_with(&mut Pigeonhole::new(tasks.x()), spec)
     } else {
-        m.run_observed(&mut NoFailures, limits, observer).expect("snapshot run")
+        m.run_with(&mut NoFailures, spec)
     };
+    let report =
+        status.expect("snapshot run").completed().expect("a run without a control hook completes");
     assert!(tasks.all_written(m.memory()));
     report.stats
 }

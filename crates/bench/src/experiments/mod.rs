@@ -1,8 +1,8 @@
 //! The experiment suite: one module per paper result (see DESIGN.md §5).
 //!
 //! Each module exposes `run()`, which prints a Markdown section comparing
-//! the paper's claim with measured behaviour. The `all_experiments` binary
-//! executes the whole suite; the `eN_*` binaries run single experiments.
+//! the paper's claim with measured behaviour. `rfsp experiment --id eN`
+//! runs one experiment; `--id all` ([`run_all`]) runs the whole suite.
 
 pub mod e1;
 pub mod e10;

@@ -1,9 +1,10 @@
-//! Shared harness for the experiment binaries.
+//! Shared harness for the experiments.
 //!
-//! Every experiment binary (`e1_thrashing` … `e10_stalking`) prints a
-//! Markdown table comparing the paper's claim with the measured behaviour;
-//! `all_experiments` runs the full suite. This library holds the common
-//! plumbing: algorithm runners, table formatting, and regression helpers.
+//! Every experiment (`rfsp experiment --id e1` … `e13`) prints a Markdown
+//! table comparing the paper's claim with the measured behaviour;
+//! `rfsp experiment --id all` runs the full suite. This library holds the
+//! common plumbing: algorithm runners, table formatting, and regression
+//! helpers.
 
 pub mod experiments;
 pub mod soak;
@@ -13,53 +14,21 @@ use rfsp_core::{
     AccOptions, AlgoAcc, AlgoV, AlgoW, AlgoX, AlgoXInPlace, Interleaved, WriteAllTasks, XOptions,
 };
 use rfsp_pram::{
-    Adversary, CycleBudget, LayoutBuilder, Machine, MemoryLayout, NoopObserver, Observer,
-    PramError, Program, RunLimits, RunReport,
+    Adversary, CycleBudget, ExecMode, LayoutBuilder, Machine, MemoryLayout, NoopObserver, Observer,
+    PramError, Program, RunLimits, RunReport, RunSpec,
 };
 use serde::{Deserialize, Serialize};
 
 pub use telemetry::{BenchArtifact, BenchRun, TelemetrySink};
 
-/// Which tentative-phase backend drives the machine's run loop.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum TickEngine {
-    /// The sequential engine: one OS thread plays every processor.
-    Sequential,
-    /// The persistent worker pool with this many threads (the machine
-    /// routes `threads == 1` to the sequential tentative phase).
-    Pooled {
-        /// Worker thread count.
-        threads: usize,
-    },
-}
-
-impl TickEngine {
-    /// Short display label (`seq` / `pool4`).
-    pub fn label(self) -> String {
-        match self {
-            TickEngine::Sequential => "seq".to_string(),
-            TickEngine::Pooled { threads } => format!("pool{threads}"),
-        }
-    }
-
-    fn drive<P, A>(
-        self,
-        machine: &mut Machine<'_, P>,
-        adversary: &mut A,
-        limits: RunLimits,
-        observer: &mut dyn Observer,
-    ) -> Result<RunReport, PramError>
-    where
-        P: Program + Sync,
-        P::Private: Send,
-        A: Adversary,
-    {
-        match self {
-            TickEngine::Sequential => machine.run_observed(adversary, limits, observer),
-            TickEngine::Pooled { threads } => {
-                machine.run_threaded_observed(adversary, limits, threads, observer)
-            }
-        }
+/// Short display label of a tick engine: `seq` for one thread, `poolN`
+/// for a pool of `N` workers (the `rfsp writeall` summary and the
+/// `BENCH_TICK.json` rows are keyed by it).
+pub fn exec_label(exec: ExecMode<'_>) -> String {
+    match exec {
+        ExecMode::Sequential => "seq".to_string(),
+        ExecMode::Threads(threads) => format!("pool{threads}"),
+        ExecMode::Pool(pool) => format!("pool{}", pool.threads()),
     }
 }
 
@@ -178,76 +147,10 @@ where
     F: FnOnce(&WriteAllSetup) -> A,
     A: Adversary,
 {
-    run_write_all_engine_observed(
-        algo,
-        TickEngine::Sequential,
-        n,
-        p,
-        make_adversary,
-        limits,
-        observer,
-    )
-}
-
-/// [`run_write_all_with_observed`] with an explicit [`TickEngine`]: the
-/// pooled and sequential backends produce bit-identical results, so
-/// experiments may pick whichever is faster for their size.
-///
-/// # Errors
-///
-/// As [`run_write_all`].
-pub fn run_write_all_engine_observed<F, A>(
-    algo: Algo,
-    engine: TickEngine,
-    n: usize,
-    p: usize,
-    make_adversary: F,
-    limits: RunLimits,
-    observer: &mut dyn Observer,
-) -> Result<WriteAllRun, PramError>
-where
-    F: FnOnce(&WriteAllSetup) -> A,
-    A: Adversary,
-{
-    run_write_all_layout_observed(
-        algo,
-        engine,
-        MemoryLayout::Flat,
-        n,
-        p,
-        make_adversary,
-        limits,
-        observer,
-    )
-}
-
-/// [`run_write_all_engine_observed`] with an explicit [`MemoryLayout`]:
-/// the machine's shared memory is partitioned per `layout`, so per-bank
-/// counters (and any attached network meter) reflect a real bank mapping.
-/// Flat and banked layouts produce bit-identical runs.
-///
-/// # Errors
-///
-/// As [`run_write_all`]; additionally rejects invalid layouts.
-#[allow(clippy::too_many_arguments)]
-pub fn run_write_all_layout_observed<F, A>(
-    algo: Algo,
-    engine: TickEngine,
-    mem_layout: MemoryLayout,
-    n: usize,
-    p: usize,
-    make_adversary: F,
-    limits: RunLimits,
-    observer: &mut dyn Observer,
-) -> Result<WriteAllRun, PramError>
-where
-    F: FnOnce(&WriteAllSetup) -> A,
-    A: Adversary,
-{
     run_write_all_tuned_observed(
         algo,
-        engine,
-        mem_layout,
+        ExecMode::Sequential,
+        MemoryLayout::Flat,
         MachineTuning::default(),
         n,
         p,
@@ -267,17 +170,20 @@ pub struct MachineTuning {
     pub batch_width: Option<usize>,
 }
 
-/// [`run_write_all_layout_observed`] with explicit [`MachineTuning`]; the
-/// knobs are behavior-invariant (batch width only changes how the
-/// tentative phase is vectorized, not what it computes).
+/// [`run_write_all_with_observed`] on the tick engine `exec`, over a
+/// shared memory partitioned per `mem_layout`, with explicit
+/// [`MachineTuning`]. Every engine, layout and tuning produces a
+/// bit-identical run; the layout only changes what the per-bank counters
+/// (and any attached network meter) see, and the tuning only how the
+/// tentative phase is vectorized.
 ///
 /// # Errors
 ///
-/// As [`run_write_all`].
+/// As [`run_write_all`]; additionally rejects invalid layouts.
 #[allow(clippy::too_many_arguments)]
 pub fn run_write_all_tuned_observed<F, A>(
     algo: Algo,
-    engine: TickEngine,
+    exec: ExecMode<'_>,
     mem_layout: MemoryLayout,
     tuning: MachineTuning,
     n: usize,
@@ -290,93 +196,61 @@ where
     F: FnOnce(&WriteAllSetup) -> A,
     A: Adversary,
 {
-    let mut layout = LayoutBuilder::new();
-    let tasks = WriteAllTasks::new(&mut layout, n);
-    match algo {
-        Algo::X => {
-            let prog = AlgoX::new(&mut layout, tasks, p, XOptions::default());
-            let setup =
-                WriteAllSetup { tasks, x_layout: Some(*prog.layout()), tree: Some(prog.tree()) };
-            let mut adversary = make_adversary(&setup);
-            let mut m = Machine::with_layout(&prog, p, CycleBudget::PAPER, mem_layout)?;
-            if let Some(w) = tuning.batch_width {
-                m.set_batch_width(w);
-            }
-            let report = engine.drive(&mut m, &mut adversary, limits, observer)?;
-            Ok(WriteAllRun { report, verified: tasks.all_written(m.memory()) })
+    let run = Drive { exec, mem_layout, tuning, p, make_adversary, limits, observer };
+    with_write_all_program(algo, n, p, run)
+}
+
+/// The [`WriteAllVisitor`] behind [`run_write_all_tuned_observed`].
+struct Drive<'a, F> {
+    exec: ExecMode<'a>,
+    mem_layout: MemoryLayout,
+    tuning: MachineTuning,
+    p: usize,
+    make_adversary: F,
+    limits: RunLimits,
+    observer: &'a mut dyn Observer,
+}
+
+impl<F, A> WriteAllVisitor for Drive<'_, F>
+where
+    F: FnOnce(&WriteAllSetup) -> A,
+    A: Adversary,
+{
+    type Out = Result<WriteAllRun, PramError>;
+
+    fn visit<P>(self, prog: &P, setup: &WriteAllSetup, budget: CycleBudget) -> Self::Out
+    where
+        P: Program + Sync,
+        P::Private: Send + Serialize + Deserialize,
+    {
+        let mut adversary = (self.make_adversary)(setup);
+        let mut m = Machine::with_layout(prog, self.p, budget, self.mem_layout)?;
+        if let Some(w) = self.tuning.batch_width {
+            m.set_batch_width(w);
         }
-        Algo::V => {
-            let prog = AlgoV::new(&mut layout, tasks, p);
-            let setup = WriteAllSetup { tasks, x_layout: None, tree: Some(prog.tree()) };
-            let mut adversary = make_adversary(&setup);
-            let mut m = Machine::with_layout(&prog, p, CycleBudget::PAPER, mem_layout)?;
-            if let Some(w) = tuning.batch_width {
-                m.set_batch_width(w);
-            }
-            let report = engine.drive(&mut m, &mut adversary, limits, observer)?;
-            Ok(WriteAllRun { report, verified: tasks.all_written(m.memory()) })
-        }
-        Algo::W => {
-            let prog = AlgoW::new(&mut layout, tasks, p);
-            let setup = WriteAllSetup { tasks, x_layout: None, tree: Some(prog.tree()) };
-            let mut adversary = make_adversary(&setup);
-            let mut m = Machine::with_layout(&prog, p, CycleBudget::PAPER, mem_layout)?;
-            if let Some(w) = tuning.batch_width {
-                m.set_batch_width(w);
-            }
-            let report = engine.drive(&mut m, &mut adversary, limits, observer)?;
-            Ok(WriteAllRun { report, verified: tasks.all_written(m.memory()) })
-        }
-        Algo::Interleaved => {
-            let prog = Interleaved::new(&mut layout, tasks, p);
-            let setup = WriteAllSetup {
-                tasks,
-                x_layout: Some(*prog.x_half().layout()),
-                tree: Some(prog.x_half().tree()),
-            };
-            let mut adversary = make_adversary(&setup);
-            let budget = prog.required_budget();
-            let mut m = Machine::with_layout(&prog, p, budget, mem_layout)?;
-            if let Some(w) = tuning.batch_width {
-                m.set_batch_width(w);
-            }
-            let report = engine.drive(&mut m, &mut adversary, limits, observer)?;
-            Ok(WriteAllRun { report, verified: tasks.all_written(m.memory()) })
-        }
-        Algo::XInPlace => {
-            let prog = AlgoXInPlace::new(&mut layout, tasks, p);
-            let setup = WriteAllSetup { tasks, x_layout: None, tree: Some(prog.tree()) };
-            let mut adversary = make_adversary(&setup);
-            let mut m = Machine::with_layout(&prog, p, CycleBudget::PAPER, mem_layout)?;
-            if let Some(w) = tuning.batch_width {
-                m.set_batch_width(w);
-            }
-            let report = engine.drive(&mut m, &mut adversary, limits, observer)?;
-            Ok(WriteAllRun { report, verified: tasks.all_written(m.memory()) })
-        }
-        Algo::Acc(seed) => {
-            let prog = AlgoAcc::new(&mut layout, tasks, AccOptions { seed });
-            let setup = WriteAllSetup { tasks, x_layout: None, tree: Some(prog.tree()) };
-            let mut adversary = make_adversary(&setup);
-            let mut m = Machine::with_layout(&prog, p, CycleBudget::PAPER, mem_layout)?;
-            if let Some(w) = tuning.batch_width {
-                m.set_batch_width(w);
-            }
-            let report = engine.drive(&mut m, &mut adversary, limits, observer)?;
-            Ok(WriteAllRun { report, verified: tasks.all_written(m.memory()) })
-        }
+        let spec = RunSpec {
+            limits: self.limits,
+            exec: self.exec,
+            observer: Some(self.observer),
+            ..RunSpec::default()
+        };
+        let status = m.run_with(&mut adversary, spec)?;
+        let report = status.completed().expect("a run without a control hook completes");
+        Ok(WriteAllRun { report, verified: setup.tasks.all_written(m.memory()) })
     }
 }
 
 /// A computation generic over the *concrete* Write-All program type.
 ///
-/// [`run_write_all_engine_observed`] erases the program behind a fixed run
+/// [`run_write_all_tuned_observed`] erases the program behind a fixed run
 /// recipe; anything needing the extra capabilities of the machine's
 /// crash-safety surface — [`Machine::save_checkpoint`] /
 /// [`Machine::restore_checkpoint`] (which require `P::Private:
-/// Serialize + Deserialize`), [`Machine::run_threaded_isolated`], or
-/// multiple machines over one program — implements this trait instead and
-/// lets [`with_write_all_program`] construct the program `algo` names.
+/// Serialize + Deserialize`), a pause hook or panic isolation
+/// ([`Machine::run_with`]), or multiple machines over one program —
+/// implements this trait instead and lets [`with_write_all_program`]
+/// construct the program `algo` names (the run recipe is one such
+/// visitor).
 pub trait WriteAllVisitor {
     /// What the visit produces.
     type Out;
@@ -392,7 +266,7 @@ pub trait WriteAllVisitor {
 
 /// Build the Write-All program `algo` names (instance size `n`, `p`
 /// processors) and hand it to `visitor` — the checkpoint-capable
-/// counterpart of [`run_write_all_engine_observed`].
+/// counterpart of [`run_write_all_tuned_observed`].
 pub fn with_write_all_program<V: WriteAllVisitor>(
     algo: Algo,
     n: usize,
@@ -487,10 +361,10 @@ where
     let tasks = WriteAllTasks::new(&mut layout, n);
     let prog = AlgoX::new(&mut layout, tasks, p, opts);
     let setup = WriteAllSetup { tasks, x_layout: Some(*prog.layout()), tree: Some(prog.tree()) };
-    let mut adversary = make_adversary(&setup);
-    let mut m = Machine::new(&prog, p, CycleBudget::PAPER)?;
-    let report = m.run_observed(&mut adversary, limits, observer)?;
-    Ok(WriteAllRun { report, verified: tasks.all_written(m.memory()) })
+    let exec = ExecMode::Sequential;
+    let (mem_layout, tuning) = (MemoryLayout::Flat, MachineTuning::default());
+    let run = Drive { exec, mem_layout, tuning, p, make_adversary, limits, observer };
+    run.visit(&prog, &setup, CycleBudget::PAPER)
 }
 
 /// What a region-aware adversary constructor gets to see.
@@ -612,9 +486,11 @@ mod tests {
 
     #[test]
     fn pooled_engine_matches_sequential_runner() {
-        let seq = run_write_all_engine_observed(
+        let seq = run_write_all_tuned_observed(
             Algo::X,
-            TickEngine::Sequential,
+            ExecMode::Sequential,
+            MemoryLayout::Flat,
+            MachineTuning::default(),
             32,
             8,
             |_| NoFailures,
@@ -622,9 +498,11 @@ mod tests {
             &mut NoopObserver,
         )
         .unwrap();
-        let pooled = run_write_all_engine_observed(
+        let pooled = run_write_all_tuned_observed(
             Algo::X,
-            TickEngine::Pooled { threads: 3 },
+            ExecMode::Threads(3),
+            MemoryLayout::Flat,
+            MachineTuning::default(),
             32,
             8,
             |_| NoFailures,
@@ -634,17 +512,18 @@ mod tests {
         .unwrap();
         assert!(seq.verified && pooled.verified);
         assert_eq!(seq.report.stats, pooled.report.stats);
-        assert_eq!(TickEngine::Pooled { threads: 3 }.label(), "pool3");
-        assert_eq!(TickEngine::Sequential.label(), "seq");
+        assert_eq!(exec_label(ExecMode::Threads(3)), "pool3");
+        assert_eq!(exec_label(ExecMode::Sequential), "seq");
     }
 
     #[test]
     fn banked_layout_matches_flat_runner() {
         let flat = run_write_all(Algo::X, 32, 8, &mut NoFailures, RunLimits::default()).unwrap();
-        let banked = run_write_all_layout_observed(
+        let banked = run_write_all_tuned_observed(
             Algo::X,
-            TickEngine::Sequential,
+            ExecMode::Sequential,
             MemoryLayout::banked(4),
+            MachineTuning::default(),
             32,
             8,
             |_| NoFailures,

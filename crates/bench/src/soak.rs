@@ -41,9 +41,9 @@ use rfsp_adversary::RandomFaults;
 use rfsp_core::{SnapshotBalance, WriteAllTasks};
 use rfsp_pram::snapshot::SnapshotMachine;
 use rfsp_pram::{
-    Adversary, CompletionHint, CycleBudget, DecisionRecorder, FailurePattern, LayoutBuilder,
-    Machine, NoopObserver, PanicPolicy, Pid, PolicyKind, PramError, Program, ReadSet, RunLimits,
-    ScheduledAdversary, SharedMemory, Step, Word, WriteSet,
+    Adversary, CompletionHint, CycleBudget, DecisionRecorder, ExecMode, FailurePattern,
+    LayoutBuilder, Machine, PanicPolicy, Pid, PolicyKind, PramError, Program, ReadSet, RunLimits,
+    RunSpec, ScheduledAdversary, SharedMemory, Step, Word, WriteSet,
 };
 use rfsp_run::run_with_cut;
 use serde::{Deserialize, Serialize};
@@ -133,11 +133,12 @@ pub struct SoakCase {
     /// Simulated kill: pause at this tick, checkpoint, resume in a fresh
     /// machine. `None` (and always for ACC) skips the check.
     pub kill_at: Option<u64>,
-    /// Also run the kill/resume check with an adaptive [`PolicyEngine`]
-    /// riding the checkpoint: the restored engine must land in exactly
-    /// the serialized state the uninterrupted engine reaches — the policy
-    /// determinism claim (decisions are a pure function of the event
-    /// stream), certified through the v4 codec's policy payload.
+    /// Also run the kill/resume check with an adaptive
+    /// [`PolicyEngine`](rfsp_pram::PolicyEngine) riding the checkpoint:
+    /// the restored engine must land in exactly the serialized state the
+    /// uninterrupted engine reaches — the policy determinism claim
+    /// (decisions are a pure function of the event stream), certified
+    /// through the v4 codec's policy payload.
     pub adaptive_policy: bool,
     /// Tick budget; a reference run that exceeds it is *skipped*, not
     /// failed (the random churn merely outlasted the budget).
@@ -335,28 +336,31 @@ impl WriteAllVisitor for CaseRunner<'_> {
                     c.restart_rate,
                     c.adversary_seed,
                 ));
-                let report = m.run_observed(&mut rec, limits, &mut NoopObserver)?;
+                let report = m
+                    .run_with(&mut rec, RunSpec { limits, ..RunSpec::default() })?
+                    .completed()
+                    .expect("a run without a control hook completes");
                 let log = rec.into_pattern();
                 Ok(collect(report, &m, Some(log), false))
             }
             Mode::Pooled(log) => {
                 let mut m = Machine::new(prog, c.p, budget)?;
                 let mut adv = ScheduledAdversary::new(log.clone());
-                let report =
-                    m.run_threaded_observed(&mut adv, limits, c.threads, &mut NoopObserver)?;
+                let exec = ExecMode::Threads(c.threads);
+                let status =
+                    m.run_with(&mut adv, RunSpec { limits, exec, ..RunSpec::default() })?;
+                let report = status.completed().expect("a run without a control hook completes");
                 Ok(collect(report, &m, None, false))
             }
             Mode::PanicChaos(log, spec) => {
                 let chaos = PanicOnce::new(prog, Pid(spec.pid), spec.on_call);
                 let mut m = Machine::new(&chaos, c.p, budget)?;
                 let mut adv = ScheduledAdversary::new(log.clone());
-                let report = m.run_threaded_isolated(
-                    &mut adv,
-                    limits,
-                    c.threads,
-                    PanicPolicy::FallbackSequential,
-                    &mut NoopObserver,
-                )?;
+                let exec = ExecMode::Threads(c.threads);
+                let isolation = Some(PanicPolicy::FallbackSequential);
+                let spec = RunSpec { limits, exec, isolation, ..RunSpec::default() };
+                let status = m.run_with(&mut adv, spec)?;
+                let report = status.completed().expect("a run without a control hook completes");
                 let fired = chaos.fired();
                 Ok(RunData {
                     stats: report.stats,
@@ -456,8 +460,8 @@ fn run_snapshot_case(case: &SoakCase) -> Result<CaseOutcome, SoakFailure> {
         case.restart_rate,
         case.adversary_seed,
     ));
-    let reference = match m.run_observed(&mut rec, limits, &mut NoopObserver) {
-        Ok(report) => report,
+    let reference = match m.run_with(&mut rec, RunSpec { limits, ..RunSpec::default() }) {
+        Ok(status) => status.completed().expect("a run without a control hook completes"),
         Err(PramError::CycleLimit { .. }) => {
             return Ok(CaseOutcome::Skipped(format!(
                 "reference run exceeded {} cycles",

@@ -1,8 +1,9 @@
 //! `rfsp serve` — the multi-tenant experiment daemon — and its client
 //! subcommands `submit`, `jobs`, and `cancel`.
 //!
-//! The daemon multiplexes many crash-safe [`RunSession`]s over one
-//! process: a FIFO round-robin [`Scheduler`] hands out the run turn one
+//! The daemon multiplexes many crash-safe
+//! [`RunSession`](rfsp_run::RunSession)s over one process: a FIFO
+//! round-robin [`Scheduler`](rfsp_run::Scheduler) hands out the run turn one
 //! quantum at a time, jobs are preempted only at checkpoint boundaries
 //! (every preemption pause publishes a durable checkpoint, so the spool
 //! is always resumable), and pooled jobs share a single

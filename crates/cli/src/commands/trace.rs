@@ -23,7 +23,8 @@ use rfsp_bench::{run_write_all_with_observed, WriteAllSetup};
 use rfsp_core::{SnapshotBalance, WriteAllTasks};
 use rfsp_pram::snapshot::SnapshotMachine;
 use rfsp_pram::{
-    LayoutBuilder, MetricsObserver, NoFailures, Observer, RunLimits, Tee, TraceRecorder, WorkStats,
+    LayoutBuilder, MetricsObserver, NoFailures, Observer, RunLimits, RunSpec, Tee, TraceRecorder,
+    WorkStats,
 };
 
 use crate::args::{ArgError, Args};
@@ -57,9 +58,14 @@ fn run_snapshot(
     // (xkiller) are rejected by `build_adversary` itself.
     let setup = WriteAllSetup { tasks, x_layout: None, tree: None };
     let mut adversary = build_adversary(args, &setup, n)?;
-    let report = m
-        .run_observed(&mut adversary, RunLimits { max_cycles }, observer)
-        .map_err(|e| ArgError(format!("machine error: {e}")))?;
+    let spec = RunSpec {
+        limits: RunLimits { max_cycles },
+        observer: Some(observer),
+        ..RunSpec::default()
+    };
+    let status =
+        m.run_with(&mut adversary, spec).map_err(|e| ArgError(format!("machine error: {e}")))?;
+    let report = status.completed().expect("a run without a control hook completes");
     if !tasks.all_written(m.memory()) {
         return Err(ArgError("postcondition failed: array not fully written".into()));
     }

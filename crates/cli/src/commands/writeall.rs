@@ -3,8 +3,10 @@
 use rfsp_adversary::{
     offline_random, Budgeted, Pigeonhole, RandomFaults, Stalking, StalkingMode, Thrashing, XKiller,
 };
-use rfsp_bench::{run_write_all_tuned_observed, Algo, MachineTuning, TickEngine, WriteAllSetup};
-use rfsp_pram::{Adversary, MemoryLayout, NoFailures, NoopObserver, RunLimits, ScheduledAdversary};
+use rfsp_bench::{exec_label, run_write_all_tuned_observed, Algo, MachineTuning, WriteAllSetup};
+use rfsp_pram::{
+    Adversary, ExecMode, MemoryLayout, NoFailures, NoopObserver, RunLimits, ScheduledAdversary,
+};
 
 use crate::args::{ArgError, Args};
 use crate::pattern_io;
@@ -126,7 +128,7 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
     if threads == 0 {
         return Err(ArgError("--threads must be at least 1".into()));
     }
-    let engine = if threads == 1 { TickEngine::Sequential } else { TickEngine::Pooled { threads } };
+    let exec = if threads == 1 { ExecMode::Sequential } else { ExecMode::Threads(threads) };
     let mem_layout = parse_layout(args)?;
     // 0 = keep the machine default; 1 = the scalar reference path (the
     // differential-testing toggle).
@@ -137,7 +139,7 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
     let mut build_err = None;
     let result = run_write_all_tuned_observed(
         algo,
-        engine,
+        exec,
         mem_layout,
         tuning,
         n,
@@ -162,7 +164,7 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
 
     let s = run.report.stats.completed_work();
     println!("algorithm       : {}", algo.name());
-    println!("tick engine     : {}", engine.label());
+    println!("tick engine     : {}", exec_label(exec));
     println!("memory layout   : {mem_layout}");
     println!("instance        : N = {n}, P = {p}");
     println!("adversary       : {}", args.get_or("adversary", "none"));

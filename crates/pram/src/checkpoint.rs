@@ -14,8 +14,9 @@
 //! # Encoding
 //!
 //! [`Checkpoint::encode_into`] writes one binary frame straight from the
-//! struct, and [`Machine::encode_checkpoint_into`]
-//! (crate::Machine::encode_checkpoint_into) writes the same bytes straight
+//! struct, and
+//! [`Machine::encode_checkpoint_into`](crate::Machine::encode_checkpoint_into)
+//! writes the same bytes straight
 //! from the running machine, without building a `Checkpoint` first. Both
 //! go through one frame writer; only the small header goes through JSON:
 //!
@@ -39,7 +40,7 @@
 //! fixed eight-byte word would outweigh even the old JSON rendering.
 //! [`Checkpoint::decode`] refuses JSON checkpoints (v4 and older), other
 //! versions, and truncated or garbled frames with
-//! [`PramError::Checkpoint`](crate::PramError::Checkpoint); restore then
+//! [`PramError::Checkpoint`]; restore then
 //! rejects mismatched machine shapes, budgets and write modes instead of
 //! resuming nondeterministically.
 
@@ -56,8 +57,8 @@ use crate::word::Word;
 /// Format version written into every checkpoint. Bump on any breaking
 /// layout change; restore refuses other versions.
 ///
-/// Version history: v1 — word machine only; v2 — adds the [`model`]
-/// tag (`Checkpoint::model`) so checkpoints from the word and snapshot
+/// Version history: v1 — word machine only; v2 — adds the
+/// [`model`](Checkpoint::model) tag so checkpoints from the word and snapshot
 /// machines cannot be restored into each other; v3 — records the
 /// [`MemoryLayout`] and replaces the two global read/write counters with
 /// per-bank counter vectors (restore refuses cross-layout resumes); v4 —

@@ -15,11 +15,12 @@
 //! **every** model:
 //!
 //! * the run loop with [`RunLimits`], completion detection, and the
-//!   [`RunControl`] pause hook for checkpointed long runs;
+//!   [`RunControl`] pause hook for checkpointed long runs, configured per
+//!   run segment by one [`RunSpec`];
 //! * [`Observer`] event emission — one stream, so word-model and
 //!   snapshot-model runs trace identically;
 //! * adversary-decision validation (shared with the models via
-//!   [`crate::decisions`]);
+//!   `crate::decisions`);
 //! * the incremental completion tracker: an [`UnvisitedIndex`] primed from
 //!   [`ExecutionModel::completion_hint`] and folded on every committed
 //!   write, replacing the O(N) `is_complete` scan with an O(1) emptiness
@@ -31,12 +32,13 @@
 //! The core stays **allocation-free in steady state**: all per-tick buffers
 //! (tentative cycles, fates, slot merges, failure scratch) live in the
 //! [`Core`] and are reused; index maintenance is O(committed writes)
-//! amortized per tick with in-place compaction. Backends implement the
-//! [`Backend`] hooks passed into [`Core::run_loop`] — the word machine's
-//! persistent worker pool farms the tentative phase, the commit merge and
-//! the index rebuild out to real threads, the sequential engines play every
-//! phase inline — so the event stream and all accounting are byte-identical
-//! across backends *by construction* (pinned by
+//! amortized per tick with in-place compaction. One run loop drives every
+//! engine; an engine (a private backend chosen from the [`RunSpec`]'s
+//! [`ExecMode`] and isolation) only decides how each phase is computed —
+//! the word machine's worker pool farms the tentative phase, the commit
+//! merge and the index rebuild out to real threads, the sequential engines
+//! play every phase inline — so the event stream and all accounting are
+//! byte-identical across engines *by construction* (pinned by
 //! `tests/golden_equivalence.rs`).
 
 use serde::{Deserialize, Serialize};
@@ -58,7 +60,7 @@ use crate::mode::WriteMode;
 use crate::pool::{
     SendPtr, TickPool, CLASS_COMMIT_MERGE, CLASS_COMMIT_SCAN, CLASS_COMMIT_STORE, CLASS_REBUILD,
 };
-use crate::trace::{Observer, TraceEvent};
+use crate::trace::{NoopObserver, Observer, TraceEvent};
 use crate::unvisited::UnvisitedIndex;
 use crate::word::{Pid, Word};
 use crate::{CompletionHint, Result};
@@ -78,8 +80,8 @@ impl Default for RunLimits {
     }
 }
 
-/// Verdict of a `run_controlled` control callback, consulted once per tick
-/// at the tick boundary.
+/// Verdict of a [`RunSpec::control`] hook, consulted once per tick at the
+/// tick boundary.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum RunControl {
     /// Execute the next tick.
@@ -90,22 +92,31 @@ pub enum RunControl {
     Pause,
 }
 
-/// How a controlled run ended.
+/// How a run segment ended.
 #[derive(Debug)]
 pub enum RunStatus {
     /// The program completed; the report is the same one an uncontrolled
     /// run would have produced.
     Completed(RunReport),
-    /// The control callback paused the run before tick `cycle` executed.
+    /// The control hook paused the run before tick `cycle` executed.
     Paused {
         /// The next tick to execute.
         cycle: u64,
     },
 }
 
-/// What the pooled engine does when a worker thread catches a panic while
-/// playing a processor's tentative cycle (see
-/// [`Machine::run_threaded_isolated`](crate::Machine::run_threaded_isolated)).
+impl RunStatus {
+    /// The report of a completed run; `None` if the run paused.
+    pub fn completed(self) -> Option<RunReport> {
+        match self {
+            RunStatus::Completed(report) => Some(report),
+            RunStatus::Paused { .. } => None,
+        }
+    }
+}
+
+/// What an isolated run does when a processor's tentative cycle panics
+/// (see [`RunSpec::isolation`]).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum PanicPolicy {
     /// Abort the run with [`PramError::WorkerPanic`], leaving the machine
@@ -113,10 +124,55 @@ pub enum PanicPolicy {
     #[default]
     Surface,
     /// Restore the pre-tick state, replay the tick on the sequential
-    /// engine, and finish the rest of the run sequentially. The run's
-    /// results are identical to an undisturbed run (the tick had committed
-    /// nothing when the panic fired); only wall-clock parallelism is lost.
+    /// engine, and finish the rest of this run segment sequentially (the
+    /// next segment starts on the pool again). The run's results are
+    /// identical to an undisturbed run (the tick had committed nothing
+    /// when the panic fired); only wall-clock parallelism is lost.
     FallbackSequential,
+}
+
+/// Which tick engine a run segment uses. Every engine produces the same
+/// event stream, statistics and memory as [`ExecMode::Sequential`].
+#[derive(Clone, Copy, Default)]
+pub enum ExecMode<'a> {
+    /// One thread plays every processor.
+    #[default]
+    Sequential,
+    /// A pool of this many worker threads, spawned for the segment and
+    /// joined at its end. `Threads(1)` is [`ExecMode::Sequential`];
+    /// `Threads(0)` is refused.
+    Threads(usize),
+    /// A caller-owned [`SharedPool`](crate::SharedPool), time-shared
+    /// between run segments: the calling thread holds the pool's turn for
+    /// the whole segment.
+    Pool(&'a crate::SharedPool),
+}
+
+/// Everything a run segment takes besides the adversary; the default is a
+/// sequential, unobserved, unisolated run to completion.
+///
+/// A segment ends when the program completes or when `control` pauses it
+/// at a tick boundary. A paused machine holds no transient state: save a
+/// checkpoint, or call a run method again to continue. Pausing and
+/// resuming yields the concatenation of the segments' event streams,
+/// which equals the uninterrupted run's stream.
+#[derive(Default)]
+pub struct RunSpec<'a> {
+    /// Safety limits; [`PramError::CycleLimit`] when exhausted.
+    pub limits: RunLimits,
+    /// The tick engine (word machine only; the snapshot machine always
+    /// runs sequentially).
+    pub exec: ExecMode<'a>,
+    /// Catch panics in program code per processor and handle them under
+    /// this policy; `None` lets them unwind (word machine only).
+    pub isolation: Option<PanicPolicy>,
+    /// Receives every machine event (see [`crate::trace`]).
+    pub observer: Option<&'a mut dyn Observer>,
+    /// Consulted with the number of the tick about to execute, after the
+    /// completion and cycle-limit checks; [`RunControl::Pause`] ends the
+    /// segment. A resumed run consults it again with the same tick number,
+    /// so a "pause at tick k" predicate must be rearmed before resuming.
+    pub control: Option<&'a mut dyn FnMut(u64) -> RunControl>,
 }
 
 /// Processor bookkeeping in structure-of-arrays form.
@@ -187,8 +243,8 @@ pub trait ExecutionModel {
 
     /// Phase 1 (sequential reference implementation): fill
     /// `core.tentative[i]` for every alive processor from the tick-start
-    /// memory, advancing private states in place. Pooled backends substitute
-    /// their own phase via [`Core::run_loop`]'s `tentative` parameter.
+    /// memory, advancing private states in place. The pooled and
+    /// panic-isolating engines substitute their own phase.
     ///
     /// # Errors
     ///
@@ -507,37 +563,30 @@ impl<Pv: Clone + Send> Core<Pv> {
         adversary.decide(&view)
     }
 
-    /// Execute exactly one observed tick: `TickStart`, the model's
-    /// sequential tentative phase, adversary decisions, validate/commit/
-    /// charge.
+    /// Execute exactly one tick: the model's sequential tentative phase,
+    /// adversary decisions, validate/commit/charge.
     ///
     /// # Errors
     ///
     /// See [`PramError`].
-    pub(crate) fn tick_observed<M, A>(
-        &mut self,
-        model: &M,
-        adversary: &mut A,
-        observer: &mut dyn Observer,
-    ) -> Result<()>
+    pub(crate) fn tick<M, A>(&mut self, model: &M, adversary: &mut A) -> Result<()>
     where
         M: ExecutionModel<Private = Pv>,
         A: Adversary,
     {
-        observer.event(TraceEvent::TickStart { cycle: self.cycle });
         model.tentative(self)?;
         let decisions = self.collect_decisions::<M, A>(adversary);
-        self.apply(model, decisions, observer)
+        self.apply(model, decisions, &mut NoopObserver)
     }
 
-    /// The single run loop behind every public entry point of both
-    /// machines. Backends differ only in the [`Backend`] hooks they pass
-    /// in, so the event stream and all accounting are shared by
-    /// construction. The `control` callback runs at the tick boundary —
-    /// after the completion and cycle-limit checks, before the tick's
-    /// `TickStart` event — so pausing and resuming produces, by
-    /// construction, the **concatenation** of the two runs' event streams,
-    /// which equals the uninterrupted run's stream.
+    /// The single run loop behind every run entry point of both machines.
+    /// Backends differ only in the [`Backend`] hooks they pass in, so the
+    /// event stream and all accounting are shared by construction. The
+    /// `control` hook runs at the tick boundary — after the completion and
+    /// cycle-limit checks, before the tick's `TickStart` event — so pausing
+    /// and resuming produces, by construction, the **concatenation** of the
+    /// two runs' event streams, which equals the uninterrupted run's
+    /// stream. Absent hooks observe nothing and never pause.
     ///
     /// # Errors
     ///
@@ -548,15 +597,25 @@ impl<Pv: Clone + Send> Core<Pv> {
         model: &M,
         adversary: &mut A,
         limits: RunLimits,
-        observer: &mut dyn Observer,
+        observer: Option<&mut dyn Observer>,
+        control: Option<&mut dyn FnMut(u64) -> RunControl>,
         backend: &mut B,
-        mut control: impl FnMut(u64) -> RunControl,
     ) -> Result<RunStatus>
     where
         M: ExecutionModel<Private = Pv>,
         A: Adversary,
-        B: Backend<M>,
+        B: Backend<M> + ?Sized,
     {
+        let mut noop = NoopObserver;
+        let observer: &mut dyn Observer = match observer {
+            Some(observer) => observer,
+            None => &mut noop,
+        };
+        let mut continue_always = |_| RunControl::Continue;
+        let control: &mut dyn FnMut(u64) -> RunControl = match control {
+            Some(control) => control,
+            None => &mut continue_always,
+        };
         backend.prime(model, self);
         loop {
             if self.completion_reached(model) {
@@ -573,33 +632,6 @@ impl<Pv: Clone + Send> Core<Pv> {
             backend.tentative(model, self)?;
             let decisions = self.collect_decisions::<M, A>(adversary);
             backend.apply(model, self, decisions, observer)?;
-        }
-    }
-
-    /// [`Core::run_loop`] without a pause hook, unwrapped to a
-    /// [`RunReport`].
-    ///
-    /// # Errors
-    ///
-    /// See [`PramError`].
-    pub(crate) fn run_to_completion<M, A, B>(
-        &mut self,
-        model: &M,
-        adversary: &mut A,
-        limits: RunLimits,
-        observer: &mut dyn Observer,
-        backend: &mut B,
-    ) -> Result<RunReport>
-    where
-        M: ExecutionModel<Private = Pv>,
-        A: Adversary,
-        B: Backend<M>,
-    {
-        match self
-            .run_loop(model, adversary, limits, observer, backend, |_| RunControl::Continue)?
-        {
-            RunStatus::Completed(report) => Ok(report),
-            RunStatus::Paused { .. } => unreachable!("the control callback never pauses"),
         }
     }
 

@@ -18,12 +18,12 @@
 //!
 //! Since PR 5 the phase structure itself — run loop, adversary validation,
 //! commit merging, accounting, observers, checkpoints — lives in the
-//! model-generic [`Core`](crate::exec::Core) (see [`crate::exec`]), shared
+//! model-generic [`Core`] (see [`crate::exec`]), shared
 //! with the snapshot machine. This module contributes the *word model*:
-//! the charged read phase with its plan chain ([`tentative_for`]), the
-//! [`CycleBudget`] enforcement, and the pooled/panic-isolated backends.
-//! The pooled backend farms the **whole tick** out to a persistent
-//! [`TickPool`] of workers: the tentative phase, the three-pass parallel
+//! the charged read phase with its plan chain, the [`CycleBudget`]
+//! enforcement, and the engines [`Machine::run_with`] chooses between.
+//! The pooled engine farms the **whole tick** out to a persistent
+//! pool of workers: the tentative phase, the three-pass parallel
 //! commit (`Core::apply_pooled`) and the sharded completion-index rebuild
 //! (`Core::init_tracker_pooled`) all run on the same pool, with
 //! rank-ordered merges keeping every observable byte identical to the
@@ -31,13 +31,13 @@
 //!
 //! The engine remains built so a **steady-state tick performs no heap
 //! allocation and no thread spawn**: all per-tick buffers live in the core
-//! and are reused; the threaded backend parks its worker pool for the whole
-//! run; and programs that implement [`Program::completion_hint`] replace
+//! and are reused; the pooled engines park their workers between ticks;
+//! and programs that implement [`Program::completion_hint`] replace
 //! the per-tick O(memory) completion scan with an O(1) emptiness test on
 //! the incremental unvisited index.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use serde::{Deserialize, Serialize};
 
@@ -49,12 +49,12 @@ use crate::error::{BudgetKind, PramError};
 use crate::exec::{Backend, Core, ExecutionModel, SeqBackend};
 use crate::memory::{MemoryLayout, SharedMemory};
 use crate::mode::WriteMode;
-use crate::pool::{panic_detail, PoolShutdown, SendPtr, TickPool, CLASS_TENTATIVE};
-use crate::trace::{NoopObserver, Observer};
+use crate::pool::{panic_detail, SendPtr, TickPool, CLASS_TENTATIVE};
+use crate::trace::Observer;
 use crate::word::{Pid, Word};
 use crate::{CompletionHint, Program, Result};
 
-pub use crate::exec::{PanicPolicy, RunControl, RunLimits, RunStatus};
+pub use crate::exec::{ExecMode, PanicPolicy, RunControl, RunLimits, RunSpec, RunStatus};
 
 /// The word model's [`ExecutionModel`]: a charged, budgeted read phase
 /// (the plan chain) followed by a budgeted write phase.
@@ -89,14 +89,7 @@ impl<'p, P: Program> ExecutionModel for WordModel<'p, P> {
     }
 
     fn tentative(&self, core: &mut Core<P::Private>) -> Result<()> {
-        let (mem, cycle) = (&core.mem, core.cycle);
-        let statuses = &core.procs.status;
-        for (i, (state, out)) in
-            core.procs.state.iter_mut().zip(core.tentative.iter_mut()).enumerate()
-        {
-            tentative_for(self.program, mem, self.budget, cycle, Pid(i), statuses[i], state, out)?;
-        }
-        Ok(())
+        tentative_seq(self.program, self.budget, core, false)
     }
 
     fn partial_instructions(t: &TentativeCycle, committed_writes: usize) -> u64 {
@@ -226,70 +219,19 @@ impl<'p, P: Program> Machine<'p, P> {
         self.core.procs.status[pid.0]
     }
 
-    /// Run to completion under `adversary` with default [`RunLimits`].
+    /// Run to completion under `adversary`: sequential, unobserved, with
+    /// default [`RunLimits`] — [`Machine::run_with`] with the default
+    /// [`RunSpec`], for any program.
     ///
     /// # Errors
     ///
     /// See [`PramError`]; in particular [`PramError::CycleLimit`] if the
     /// default limit is exhausted.
     pub fn run<A: Adversary>(&mut self, adversary: &mut A) -> Result<RunReport> {
-        self.run_with_limits(adversary, RunLimits::default())
-    }
-
-    /// Run to completion under `adversary` with explicit limits.
-    ///
-    /// # Errors
-    ///
-    /// See [`PramError`].
-    pub fn run_with_limits<A: Adversary>(
-        &mut self,
-        adversary: &mut A,
-        limits: RunLimits,
-    ) -> Result<RunReport> {
-        self.run_observed(adversary, limits, &mut NoopObserver)
-    }
-
-    /// Like [`Machine::run_with_limits`], streaming every machine event —
-    /// cycle completions, failures, restarts, committed writes — to
-    /// `observer` (see [`crate::trace`]).
-    ///
-    /// # Errors
-    ///
-    /// See [`PramError`].
-    pub fn run_observed<A: Adversary>(
-        &mut self,
-        adversary: &mut A,
-        limits: RunLimits,
-        observer: &mut dyn Observer,
-    ) -> Result<RunReport> {
         let Machine { model, core } = self;
-        core.run_to_completion(model, adversary, limits, observer, &mut SeqBackend)
-    }
-
-    /// Run under `adversary` until completion **or** until `control`
-    /// requests a pause at a tick boundary (e.g. "every K ticks" for
-    /// periodic checkpoints, or "when the SIGINT flag is set").
-    ///
-    /// The callback receives the tick about to execute. On
-    /// [`RunStatus::Paused`] the machine holds no transient state: save a
-    /// [`Checkpoint`] with [`Machine::save_checkpoint`], or simply call a
-    /// run method again to continue. A resumed run picks up exactly where
-    /// the pause left off; note the callback is consulted again with the
-    /// same tick number, so a "pause at tick k" predicate must be rearmed
-    /// by the caller before resuming.
-    ///
-    /// # Errors
-    ///
-    /// See [`PramError`].
-    pub fn run_controlled<A: Adversary>(
-        &mut self,
-        adversary: &mut A,
-        limits: RunLimits,
-        observer: &mut dyn Observer,
-        control: impl FnMut(u64) -> RunControl,
-    ) -> Result<RunStatus> {
-        let Machine { model, core } = self;
-        core.run_loop(model, adversary, limits, observer, &mut SeqBackend, control)
+        let status =
+            core.run_loop(model, adversary, RunLimits::default(), None, None, &mut SeqBackend)?;
+        Ok(status.completed().expect("a run without a control hook completes"))
     }
 
     /// Execute exactly one tick under `adversary`. Exposed for fine-grained
@@ -299,20 +241,7 @@ impl<'p, P: Program> Machine<'p, P> {
     ///
     /// See [`PramError`].
     pub fn tick<A: Adversary>(&mut self, adversary: &mut A) -> Result<()> {
-        self.tick_observed(adversary, &mut NoopObserver)
-    }
-
-    /// [`Machine::tick`] with an event stream.
-    ///
-    /// # Errors
-    ///
-    /// See [`PramError`].
-    pub fn tick_observed<A: Adversary>(
-        &mut self,
-        adversary: &mut A,
-        observer: &mut dyn Observer,
-    ) -> Result<()> {
-        self.core.tick_observed(&self.model, adversary, observer)
+        self.core.tick(&self.model, adversary)
     }
 }
 
@@ -324,8 +253,8 @@ where
     /// Snapshot the machine (and `adversary`) at the current tick boundary
     /// into a versioned [`Checkpoint`].
     ///
-    /// Call only between run calls — e.g. after
-    /// [`Machine::run_controlled`] returned [`RunStatus::Paused`] — so the
+    /// Call only between run calls — e.g. after [`Machine::run_with`]
+    /// returned [`RunStatus::Paused`] — so the
     /// machine holds no transient tick state. Restoring the checkpoint
     /// into a freshly built machine of the same program, size, budget and
     /// write mode (plus a freshly built adversary of the same kind and
@@ -457,42 +386,49 @@ fn tentative_for<P: Program>(
     Ok(())
 }
 
-/// [`WordModel::tentative`] with per-processor panic isolation: a panic in
-/// program code surfaces as [`PramError::WorkerPanic`] naming the
-/// processor, instead of unwinding through the run loop. Used by the
-/// degraded path of [`Machine::run_threaded_isolated`].
-fn tentative_caught<P: Program>(
+/// Play one processor's cycle, catching a panic in program code as
+/// [`PramError::WorkerPanic`] naming `pid` instead of unwinding.
+fn caught(pid: Pid, play: impl FnOnce() -> Result<()>) -> Result<()> {
+    catch_unwind(AssertUnwindSafe(play)).unwrap_or_else(|payload| {
+        Err(PramError::WorkerPanic { pid: Some(pid), detail: panic_detail(payload.as_ref()) })
+    })
+}
+
+/// The sequential tentative phase: [`tentative_for`] for every processor
+/// in PID order, each under [`caught`] when `isolated`.
+fn tentative_seq<P: Program>(
     program: &P,
     budget: CycleBudget,
     core: &mut Core<P::Private>,
+    isolated: bool,
 ) -> Result<()> {
     let (mem, cycle) = (&core.mem, core.cycle);
     let statuses = &core.procs.status;
     for (i, (state, out)) in core.procs.state.iter_mut().zip(core.tentative.iter_mut()).enumerate()
     {
-        catch_unwind(AssertUnwindSafe(|| {
-            tentative_for(program, mem, budget, cycle, Pid(i), statuses[i], state, out)
-        }))
-        .unwrap_or_else(|payload| {
-            Err(PramError::WorkerPanic {
-                pid: Some(Pid(i)),
-                detail: panic_detail(payload.as_ref()),
-            })
-        })?;
+        let mut play =
+            || tentative_for(program, mem, budget, cycle, Pid(i), statuses[i], state, out);
+        if isolated {
+            caught(Pid(i), play)?;
+        } else {
+            play()?;
+        }
     }
     Ok(())
 }
 
-/// Parallel tentative phase: pool workers claim chunks of the processor
-/// range from the shared cursor and fill the corresponding tentative slots.
-/// With the structure-of-arrays processor state only the private states
-/// need a raw [`SendPtr`]: statuses are read-only during the tentative
-/// phase and are shared as a plain slice.
+/// The parallel tentative phase: pool workers claim chunks of the
+/// processor range from the shared cursor and fill the corresponding
+/// tentative slots, each cycle under [`caught`] when `isolated`. With the
+/// structure-of-arrays processor state only the private states need a raw
+/// [`SendPtr`]: statuses are read-only during the tentative phase and are
+/// shared as a plain slice.
 fn tentative_pooled<P>(
     program: &P,
     budget: CycleBudget,
     core: &mut Core<P::Private>,
     pool: &TickPool,
+    isolated: bool,
 ) -> Result<()>
 where
     P: Program + Sync,
@@ -515,47 +451,13 @@ where
             // done, so the pointers outlive all dereferences.
             let state = unsafe { &mut *states.ptr().add(i) };
             let out = unsafe { &mut *tentative.ptr().add(i) };
-            tentative_for(program, mem, budget, cycle, Pid(i), statuses[i], state, out)?;
-        }
-        Ok(())
-    })
-}
-
-/// [`tentative_pooled`] with per-processor panic isolation: each
-/// processor's cycle runs under `catch_unwind`, so a panicking program
-/// surfaces as [`PramError::WorkerPanic`] naming the processor.
-fn tentative_pooled_isolated<P>(
-    program: &P,
-    budget: CycleBudget,
-    core: &mut Core<P::Private>,
-    pool: &TickPool,
-) -> Result<()>
-where
-    P: Program + Sync,
-    P::Private: Send,
-{
-    let p = core.procs.len();
-    let align = core.chunk_align();
-    let (mem, cycle) = (&core.mem, core.cycle);
-    let statuses: &[ProcStatus] = &core.procs.status;
-    let states = SendPtr::new(core.procs.state.as_mut_ptr());
-    let tentative = SendPtr::new(core.tentative.as_mut_ptr());
-    pool.run_tick(CLASS_TENTATIVE, p, align, &move |start: usize, end: usize| {
-        #[allow(clippy::needless_range_loop)] // `i` also offsets the raw SoA pointers
-        for i in start..end {
-            // SAFETY: as in `tentative_pooled` — disjoint chunks, pointers
-            // outlive the tick.
-            let state = unsafe { &mut *states.ptr().add(i) };
-            let out = unsafe { &mut *tentative.ptr().add(i) };
-            catch_unwind(AssertUnwindSafe(|| {
-                tentative_for(program, mem, budget, cycle, Pid(i), statuses[i], state, out)
-            }))
-            .unwrap_or_else(|payload| {
-                Err(PramError::WorkerPanic {
-                    pid: Some(Pid(i)),
-                    detail: panic_detail(payload.as_ref()),
-                })
-            })?;
+            let mut play =
+                || tentative_for(program, mem, budget, cycle, Pid(i), statuses[i], state, out);
+            if isolated {
+                caught(Pid(i), play)?;
+            } else {
+                play()?;
+            }
         }
         Ok(())
     })
@@ -579,7 +481,7 @@ where
     }
 
     fn tentative(&mut self, model: &WordModel<'p, P>, core: &mut Core<P::Private>) -> Result<()> {
-        tentative_pooled(model.program, model.budget, core, self.pool)
+        tentative_pooled(model.program, model.budget, core, self.pool, false)
     }
 
     fn apply(
@@ -593,22 +495,22 @@ where
     }
 }
 
-/// The sequential panic-isolating backend: [`tentative_caught`] wraps every
-/// processor's cycle in `catch_unwind`. Used for `threads == 1` isolated
-/// runs and as the degraded mode of [`IsolatedBackend`].
+/// The sequential panic-isolating backend: every processor's cycle runs
+/// under [`caught`]. Used for isolated sequential runs and as the degraded
+/// mode of [`IsolatedBackend`].
 struct CaughtBackend;
 
 impl<'p, P: Program> Backend<WordModel<'p, P>> for CaughtBackend {
     fn tentative(&mut self, model: &WordModel<'p, P>, core: &mut Core<P::Private>) -> Result<()> {
-        tentative_caught(model.program, model.budget, core)
+        tentative_seq(model.program, model.budget, core, true)
     }
 }
 
 /// The pooled backend with per-processor panic isolation: each tick backs
 /// up every private state before the pooled tentative phase, restores them
 /// if a worker catches a panic, and then either surfaces the error or
-/// degrades permanently to the sequential caught engine per the
-/// [`PanicPolicy`].
+/// degrades to the sequential caught engine for the rest of the run
+/// segment per the [`PanicPolicy`].
 ///
 /// Commit and rebuild deliberately keep the **sequential** defaults: the
 /// parallel commit stores through raw bank pointers and calls user
@@ -628,7 +530,7 @@ where
 {
     fn tentative(&mut self, model: &WordModel<'p, P>, core: &mut Core<P::Private>) -> Result<()> {
         if self.degraded {
-            return tentative_caught(model.program, model.budget, core);
+            return tentative_seq(model.program, model.budget, core, true);
         }
         // Snapshot every private state: the tentative phase advances
         // states in place, so recovering from a panic mid-phase needs the
@@ -636,7 +538,7 @@ where
         for (saved, state) in self.backup.iter_mut().zip(core.procs.state.iter()) {
             saved.clone_from(state);
         }
-        match tentative_pooled_isolated(model.program, model.budget, core, self.pool) {
+        match tentative_pooled(model.program, model.budget, core, self.pool, true) {
             Err(PramError::WorkerPanic { pid, detail }) => {
                 for (state, saved) in core.procs.state.iter_mut().zip(self.backup.iter()) {
                     state.clone_from(saved);
@@ -648,7 +550,7 @@ where
                         // Replay the whole tick sequentially from the
                         // restored pre-tick states — nothing had committed,
                         // so the replay is identical to a clean tick.
-                        tentative_caught(model.program, model.budget, core)
+                        tentative_seq(model.program, model.budget, core, true)
                     }
                 }
             }
@@ -662,232 +564,91 @@ where
     P: Program + Sync,
     P::Private: Send,
 {
-    /// Like [`Machine::run_with_limits`], but every heavy phase of the
-    /// tick — the tentative phase, the commit, and the completion-index
-    /// rebuild at run entry — is computed by a persistent pool of
-    /// `threads` worker threads claiming chunks from shared cursors. Only
-    /// the adversary consultation and the deterministic rank-ordered
-    /// merges stay on the coordinating thread, preserving the exact
-    /// semantics, event streams and determinism of the sequential engine.
+    /// Run one segment under `adversary` as `spec` says: until the program
+    /// completes, or until `spec.control` pauses at a tick boundary.
     ///
-    /// The workers are spawned **once per run** and parked between ticks,
-    /// so a steady-state tick performs no thread spawns. `threads == 1`
-    /// routes to the sequential tentative phase — same results, none of the
-    /// pool's synchronization overhead.
+    /// `spec.exec` and `spec.isolation` pick the engine; every engine gives
+    /// the same results and event stream as the sequential one:
     ///
-    /// This is the "real concurrency" backend: results are bit-identical to
-    /// [`Machine::run`] for the same program and adversary.
+    /// | `exec` | `isolation` | engine |
+    /// |---|---|---|
+    /// | `Sequential`, `Threads(1)` | `None` | sequential |
+    /// | `Sequential`, `Threads(1)` | `Some` | sequential, each cycle under `catch_unwind` |
+    /// | `Threads(n ≥ 2)`, `Pool` | `None` | pooled: tentative phase, commit and index rebuild on the workers |
+    /// | `Threads(n ≥ 2)`, `Pool` | `Some` | pooled tentative phase under `catch_unwind`, sequential commit |
     ///
-    /// # Errors
-    ///
-    /// See [`PramError`]. Additionally [`PramError::InvalidConfig`] if
-    /// `threads == 0`.
-    pub fn run_threaded<A: Adversary>(
-        &mut self,
-        adversary: &mut A,
-        limits: RunLimits,
-        threads: usize,
-    ) -> Result<RunReport> {
-        self.run_threaded_observed(adversary, limits, threads, &mut NoopObserver)
-    }
-
-    /// [`Machine::run_threaded`] with an event stream: shares the
-    /// sequential engine's run loop ([`Machine::run_observed`]), so for the
-    /// same program and adversary both backends emit the **identical**
-    /// sequence of [`TraceEvent`](crate::trace::TraceEvent)s — only the
-    /// tentative phase is farmed out to the worker pool.
+    /// The pooled engines park their workers between ticks, so a
+    /// steady-state tick spawns no thread. The isolated engines catch a
+    /// panic in program code (`plan`/`execute`) per processor and restore
+    /// the pre-tick private states; the [`PanicPolicy`] then either
+    /// surfaces [`PramError::WorkerPanic`] with the machine intact at the
+    /// tick boundary, or replays the tick sequentially and finishes the
+    /// segment on the sequential isolated engine. Isolation costs one clone
+    /// of every private state per pooled tick.
     ///
     /// # Errors
     ///
-    /// See [`PramError`]. Additionally [`PramError::InvalidConfig`] if
-    /// `threads == 0`.
-    pub fn run_threaded_observed<A: Adversary>(
-        &mut self,
-        adversary: &mut A,
-        limits: RunLimits,
-        threads: usize,
-        observer: &mut dyn Observer,
-    ) -> Result<RunReport> {
-        if threads == 0 {
-            return Err(PramError::InvalidConfig { detail: "need at least one thread".into() });
-        }
-        let Machine { model, core } = self;
-        if threads == 1 {
-            // A one-thread pool would pay wake/park synchronization for no
-            // parallelism; the sequential phase is the same computation.
-            return core.run_to_completion(model, adversary, limits, observer, &mut SeqBackend);
-        }
-        let pool = TickPool::new(threads);
-        std::thread::scope(|scope| {
-            let _shutdown = PoolShutdown(&pool);
-            let pool = &pool;
-            for rank in 0..threads {
-                scope.spawn(move || pool.worker(rank));
-            }
-            let mut backend = PooledBackend { pool };
-            core.run_to_completion(model, adversary, limits, observer, &mut backend)
-        })
-    }
-
-    /// [`Machine::run_threaded_observed`] with a pause hook — the threaded
-    /// counterpart of [`Machine::run_controlled`], for checkpointed long
-    /// runs on the pooled engine.
-    ///
-    /// # Errors
-    ///
-    /// See [`PramError`]. Additionally [`PramError::InvalidConfig`] if
-    /// `threads == 0`.
-    pub fn run_threaded_controlled<A: Adversary>(
-        &mut self,
-        adversary: &mut A,
-        limits: RunLimits,
-        threads: usize,
-        observer: &mut dyn Observer,
-        control: impl FnMut(u64) -> RunControl,
-    ) -> Result<RunStatus> {
-        if threads == 0 {
-            return Err(PramError::InvalidConfig { detail: "need at least one thread".into() });
-        }
-        let Machine { model, core } = self;
-        if threads == 1 {
-            return core.run_loop(model, adversary, limits, observer, &mut SeqBackend, control);
-        }
-        let pool = TickPool::new(threads);
-        std::thread::scope(|scope| {
-            let _shutdown = PoolShutdown(&pool);
-            let pool = &pool;
-            for rank in 0..threads {
-                scope.spawn(move || pool.worker(rank));
-            }
-            let mut backend = PooledBackend { pool };
-            core.run_loop(model, adversary, limits, observer, &mut backend, control)
-        })
-    }
-
-    /// [`Machine::run_threaded_observed`] with **panic isolation**: a panic
-    /// in program code (`plan`/`execute`) is caught at the worker, the
-    /// pre-tick private states are restored from a per-tick backup, and
-    /// `policy` decides what happens next — surface
-    /// [`PramError::WorkerPanic`] with the machine intact at the tick
-    /// boundary, or replay the tick sequentially and finish the run on the
-    /// sequential engine with results identical to an undisturbed run.
-    ///
-    /// The isolation costs one clone of every private state per tick, so
-    /// the plain [`Machine::run_threaded`] remains the default engine;
-    /// this entry point is for runs that must survive faulty host code
-    /// (the chaos harness, long crash-safe experiments).
-    ///
-    /// # Errors
-    ///
-    /// See [`PramError`]. Additionally [`PramError::InvalidConfig`] if
-    /// `threads == 0`, and [`PramError::WorkerPanic`] if a panic fires
-    /// under [`PanicPolicy::Surface`] (or repeats during a sequential
+    /// See [`PramError`]. Additionally [`PramError::InvalidConfig`] for
+    /// `ExecMode::Threads(0)`, and [`PramError::WorkerPanic`] if a panic
+    /// fires under [`PanicPolicy::Surface`] (or repeats during a sequential
     /// replay under [`PanicPolicy::FallbackSequential`]).
-    pub fn run_threaded_isolated<A: Adversary>(
+    pub fn run_with<A: Adversary>(
         &mut self,
         adversary: &mut A,
-        limits: RunLimits,
-        threads: usize,
-        policy: PanicPolicy,
-        observer: &mut dyn Observer,
-    ) -> Result<RunReport> {
-        match self.run_threaded_isolated_controlled(
-            adversary,
-            limits,
-            threads,
-            policy,
-            observer,
-            |_| RunControl::Continue,
-        )? {
-            RunStatus::Completed(report) => Ok(report),
-            RunStatus::Paused { .. } => unreachable!("the control callback never pauses"),
-        }
-    }
-
-    /// [`Machine::run_threaded_isolated`] with a pause hook: the fully
-    /// armored engine — panic isolation, graceful sequential degradation,
-    /// and checkpointable tick boundaries — used by the crash-safe
-    /// experiment runner.
-    ///
-    /// # Errors
-    ///
-    /// See [`Machine::run_threaded_isolated`].
-    pub fn run_threaded_isolated_controlled<A: Adversary>(
-        &mut self,
-        adversary: &mut A,
-        limits: RunLimits,
-        threads: usize,
-        policy: PanicPolicy,
-        observer: &mut dyn Observer,
-        control: impl FnMut(u64) -> RunControl,
+        spec: RunSpec<'_>,
     ) -> Result<RunStatus> {
-        if threads == 0 {
-            return Err(PramError::InvalidConfig { detail: "need at least one thread".into() });
-        }
-        let Machine { model, core } = self;
-        if threads == 1 {
-            return core.run_loop(model, adversary, limits, observer, &mut CaughtBackend, control);
-        }
-        let pool = TickPool::new(threads);
-        std::thread::scope(|scope| {
-            let _shutdown = PoolShutdown(&pool);
-            let pool = &pool;
-            for rank in 0..threads {
-                scope.spawn(move || pool.worker(rank));
+        let RunSpec { limits, exec, isolation, observer, control } = spec;
+        let ephemeral;
+        let shared = match exec {
+            ExecMode::Sequential | ExecMode::Threads(1) => None,
+            ExecMode::Threads(0) => {
+                return Err(PramError::InvalidConfig { detail: "need at least one thread".into() })
             }
-            let mut backend = IsolatedBackend {
-                pool,
-                policy,
-                backup: vec![None; core.procs.len()],
-                degraded: false,
-            };
-            core.run_loop(model, adversary, limits, observer, &mut backend, control)
-        })
-    }
-
-    /// [`Machine::run_threaded_isolated_controlled`] on a caller-provided
-    /// [`SharedPool`] instead of a private per-call pool.
-    ///
-    /// The segment holds the pool's turn lock for its whole duration, so
-    /// concurrent callers serialize; pause at tick boundaries (via
-    /// `control`) to time-share the pool between runs. The calling thread
-    /// becomes the pool's coordinator for the duration of the segment.
-    ///
-    /// # Errors
-    ///
-    /// See [`Machine::run_threaded_isolated`].
-    pub fn run_pooled_isolated_controlled<A: Adversary>(
-        &mut self,
-        adversary: &mut A,
-        limits: RunLimits,
-        pool: &SharedPool,
-        policy: PanicPolicy,
-        observer: &mut dyn Observer,
-        control: impl FnMut(u64) -> RunControl,
-    ) -> Result<RunStatus> {
-        let Machine { model, core } = self;
-        let _turn = pool.turn.lock().unwrap_or_else(PoisonError::into_inner);
-        pool.pool.bind_coordinator();
-        let mut backend = IsolatedBackend {
-            pool: &pool.pool,
-            policy,
-            backup: vec![None; core.procs.len()],
-            degraded: false,
+            ExecMode::Threads(threads) => {
+                ephemeral = SharedPool::new(threads)?;
+                Some(&ephemeral)
+            }
+            ExecMode::Pool(pool) => Some(pool),
         };
-        core.run_loop(model, adversary, limits, observer, &mut backend, control)
+        let _turn = shared.map(SharedPool::take_turn);
+        let Machine { model, core } = self;
+        let (mut seq, mut seq_caught, mut pooled, mut pooled_caught);
+        let backend: &mut dyn Backend<WordModel<'p, P>> = match (shared, isolation) {
+            (None, None) => {
+                seq = SeqBackend;
+                &mut seq
+            }
+            (None, Some(_)) => {
+                seq_caught = CaughtBackend;
+                &mut seq_caught
+            }
+            (Some(shared), None) => {
+                pooled = PooledBackend { pool: &shared.pool };
+                &mut pooled
+            }
+            (Some(shared), Some(policy)) => {
+                pooled_caught = IsolatedBackend {
+                    pool: &shared.pool,
+                    policy,
+                    backup: vec![None; core.procs.len()],
+                    degraded: false,
+                };
+                &mut pooled_caught
+            }
+        };
+        core.run_loop(model, adversary, limits, observer, control, backend)
     }
 }
 
-/// A persistent worker pool shared across machines and run segments.
+/// A persistent worker pool that run segments drive through
+/// [`ExecMode::Pool`].
 ///
-/// [`Machine::run_threaded_isolated_controlled`] builds a private
-/// [`TickPool`] per call — right for a single run, but wasteful (and
-/// impossible to time-share) when a daemon multiplexes many paused runs
-/// over one set of OS threads. `SharedPool` owns its workers for as long
-/// as the value lives; any thread may drive a run segment on it through
-/// [`Machine::run_pooled_isolated_controlled`], one segment at a time: an
-/// internal turn lock serializes drivers, and each driver re-binds the
-/// pool's coordinator to itself before its first tick.
+/// `SharedPool` owns its workers for as long as the value lives, so a
+/// daemon can multiplex many paused runs over one set of OS threads. Any
+/// thread may drive a segment on it, one segment at a time: an internal
+/// turn lock serializes drivers, and each driver becomes the pool's
+/// coordinator before its first tick. [`ExecMode::Threads`] builds one
+/// for a single segment.
 pub struct SharedPool {
     pool: Arc<TickPool>,
     /// Serializes run segments: at most one coordinator drives the workers
@@ -924,6 +685,15 @@ impl SharedPool {
     pub fn threads(&self) -> usize {
         self.pool.threads()
     }
+
+    /// Take the pool's turn for one run segment and make the calling
+    /// thread its coordinator. A segment that panicked while holding the
+    /// turn left the pool itself consistent, so poisoning is ignored.
+    fn take_turn(&self) -> MutexGuard<'_, ()> {
+        let turn = self.turn.lock().unwrap_or_else(PoisonError::into_inner);
+        self.pool.bind_coordinator();
+        turn
+    }
 }
 
 impl Drop for SharedPool {
@@ -942,6 +712,10 @@ mod tests {
     use crate::adversary::{Decisions, FailPoint, MachineView, NoFailures};
     use crate::cycle::WriteSet;
     use crate::Program;
+
+    fn threads(n: usize) -> RunSpec<'static> {
+        RunSpec { exec: ExecMode::Threads(n), ..RunSpec::default() }
+    }
 
     /// Each processor repeatedly increments its own cell until it reaches
     /// `target`, then halts.
@@ -997,31 +771,17 @@ mod tests {
         assert_eq!(pool.threads(), 2);
         let prog = Counter { n: 8, target: 5 };
         let mut m = Machine::new(&prog, 8, CycleBudget::PAPER).unwrap();
-        let status = m
-            .run_pooled_isolated_controlled(
-                &mut NoFailures,
-                RunLimits::default(),
-                &pool,
-                PanicPolicy::Surface,
-                &mut NoopObserver,
-                |c| if c >= 2 { RunControl::Pause } else { RunControl::Continue },
-            )
-            .unwrap();
+        let pooled = || RunSpec {
+            exec: ExecMode::Pool(&pool),
+            isolation: Some(PanicPolicy::Surface),
+            ..RunSpec::default()
+        };
+        let pause = &mut |c| if c >= 2 { RunControl::Pause } else { RunControl::Continue };
+        let status =
+            m.run_with(&mut NoFailures, RunSpec { control: Some(pause), ..pooled() }).unwrap();
         assert!(matches!(status, RunStatus::Paused { cycle: 2 }));
         let status = std::thread::scope(|s| {
-            s.spawn(|| {
-                m.run_pooled_isolated_controlled(
-                    &mut NoFailures,
-                    RunLimits::default(),
-                    &pool,
-                    PanicPolicy::Surface,
-                    &mut NoopObserver,
-                    |_| RunControl::Continue,
-                )
-                .unwrap()
-            })
-            .join()
-            .unwrap()
+            s.spawn(|| m.run_with(&mut NoFailures, pooled()).unwrap()).join().unwrap()
         });
         let RunStatus::Completed(report) = status else {
             panic!("expected completion, got {status:?}");
@@ -1216,7 +976,9 @@ mod tests {
     fn cycle_limit_is_enforced() {
         let prog = Counter { n: 1, target: 1_000 };
         let mut m = Machine::new(&prog, 1, CycleBudget::PAPER).unwrap();
-        let err = m.run_with_limits(&mut NoFailures, RunLimits { max_cycles: 10 }).unwrap_err();
+        let limits = RunLimits { max_cycles: 10 };
+        let err =
+            m.run_with(&mut NoFailures, RunSpec { limits, ..RunSpec::default() }).unwrap_err();
         assert_eq!(err, PramError::CycleLimit { cycles: 10 });
     }
 
@@ -1296,7 +1058,7 @@ mod tests {
         let mut seq = Machine::new(&prog, 16, CycleBudget::PAPER).unwrap();
         let seq_report = seq.run(&mut OneHiccup).unwrap();
         let mut par = Machine::new(&prog, 16, CycleBudget::PAPER).unwrap();
-        let par_report = par.run_threaded(&mut OneHiccup, RunLimits::default(), 4).unwrap();
+        let par_report = par.run_with(&mut OneHiccup, threads(4)).unwrap().completed().unwrap();
         assert_eq!(seq_report.stats, par_report.stats);
         assert_eq!(seq_report.pattern, par_report.pattern);
         assert_eq!(seq.memory().as_slice(), par.memory().as_slice());
@@ -1310,7 +1072,7 @@ mod tests {
         let mut seq = Machine::new(&prog, 8, CycleBudget::PAPER).unwrap();
         let seq_report = seq.run(&mut OneHiccup).unwrap();
         let mut one = Machine::new(&prog, 8, CycleBudget::PAPER).unwrap();
-        let one_report = one.run_threaded(&mut OneHiccup, RunLimits::default(), 1).unwrap();
+        let one_report = one.run_with(&mut OneHiccup, threads(1)).unwrap().completed().unwrap();
         assert_eq!(seq_report.stats, one_report.stats);
         assert_eq!(seq_report.pattern, one_report.pattern);
         assert_eq!(seq.memory().as_slice(), one.memory().as_slice());
@@ -1321,7 +1083,7 @@ mod tests {
         let prog = Counter { n: 2, target: 1 };
         let mut m = Machine::new(&prog, 2, CycleBudget::PAPER).unwrap();
         assert!(matches!(
-            m.run_threaded(&mut NoFailures, RunLimits::default(), 0),
+            m.run_with(&mut NoFailures, threads(0)),
             Err(PramError::InvalidConfig { .. })
         ));
     }
@@ -1463,15 +1225,8 @@ mod tests {
                 fired: std::sync::atomic::AtomicBool::new(false),
             };
             let mut m = Machine::new(&trapped, 8, CycleBudget::PAPER).unwrap();
-            let report = m
-                .run_threaded_isolated(
-                    &mut NoFailures,
-                    RunLimits::default(),
-                    4,
-                    PanicPolicy::FallbackSequential,
-                    &mut NoopObserver,
-                )
-                .unwrap();
+            let spec = RunSpec { isolation: Some(PanicPolicy::FallbackSequential), ..threads(4) };
+            let report = m.run_with(&mut NoFailures, spec).unwrap().completed().unwrap();
             assert!(trapped.fired.load(std::sync::atomic::Ordering::SeqCst));
             assert_eq!(report.stats, expected.stats);
             assert_eq!(report.per_processor, expected.per_processor);
@@ -1499,14 +1254,8 @@ mod tests {
                 fired: std::sync::atomic::AtomicBool::new(false),
             };
             let mut m = Machine::with_layout(&trapped, 8, CycleBudget::PAPER, layout).unwrap();
-            m.run_threaded_isolated(
-                &mut NoFailures,
-                RunLimits::default(),
-                4,
-                PanicPolicy::FallbackSequential,
-                &mut NoopObserver,
-            )
-            .unwrap();
+            let spec = RunSpec { isolation: Some(PanicPolicy::FallbackSequential), ..threads(4) };
+            m.run_with(&mut NoFailures, spec).unwrap();
             assert!(trapped.fired.load(std::sync::atomic::Ordering::SeqCst));
             assert_eq!(m.memory().read_count(), reference.memory().read_count());
             assert_eq!(m.memory().write_count(), reference.memory().write_count());
@@ -1527,15 +1276,8 @@ mod tests {
                 fired: std::sync::atomic::AtomicBool::new(false),
             };
             let mut m = Machine::new(&trapped, 8, CycleBudget::PAPER).unwrap();
-            let err = m
-                .run_threaded_isolated(
-                    &mut NoFailures,
-                    RunLimits::default(),
-                    4,
-                    PanicPolicy::Surface,
-                    &mut NoopObserver,
-                )
-                .unwrap_err();
+            let spec = RunSpec { isolation: Some(PanicPolicy::Surface), ..threads(4) };
+            let err = m.run_with(&mut NoFailures, spec).unwrap_err();
             assert!(
                 matches!(&err, PramError::WorkerPanic { pid: Some(Pid(5)), detail }
                     if detail.contains("injected fault")),
@@ -1571,26 +1313,22 @@ mod tests {
         let mut straight = Machine::new(&prog, 4, CycleBudget::PAPER).unwrap();
         let mut straight_trace = TraceRecorder::unbounded();
         let expected = straight
-            .run_observed(
+            .run_with(
                 &mut ScheduledAdversary::new(pattern.clone()),
-                RunLimits::default(),
-                &mut straight_trace,
+                RunSpec { observer: Some(&mut straight_trace), ..RunSpec::default() },
             )
+            .unwrap()
+            .completed()
             .unwrap();
 
         // Interrupted run: pause before tick 2, checkpoint, drop everything.
         let mut first = Machine::new(&prog, 4, CycleBudget::PAPER).unwrap();
         let mut adv1 = ScheduledAdversary::new(pattern.clone());
         let mut trace1 = TraceRecorder::unbounded();
-        let status = first
-            .run_controlled(&mut adv1, RunLimits::default(), &mut trace1, |cycle| {
-                if cycle == 2 {
-                    RunControl::Pause
-                } else {
-                    RunControl::Continue
-                }
-            })
-            .unwrap();
+        let pause = &mut |cycle| if cycle == 2 { RunControl::Pause } else { RunControl::Continue };
+        let spec =
+            RunSpec { observer: Some(&mut trace1), control: Some(pause), ..RunSpec::default() };
+        let status = first.run_with(&mut adv1, spec).unwrap();
         assert!(matches!(status, RunStatus::Paused { cycle: 2 }));
         let ck = first.save_checkpoint(&adv1).unwrap();
         drop(first);
@@ -1602,7 +1340,8 @@ mod tests {
         second.restore_checkpoint(&ck, &mut adv2).unwrap();
         assert_eq!(second.cycle(), 2);
         let mut trace2 = TraceRecorder::unbounded();
-        let report = second.run_observed(&mut adv2, RunLimits::default(), &mut trace2).unwrap();
+        let spec = RunSpec { observer: Some(&mut trace2), ..RunSpec::default() };
+        let report = second.run_with(&mut adv2, spec).unwrap().completed().unwrap();
 
         assert_eq!(report.stats, expected.stats);
         assert_eq!(report.pattern, expected.pattern);
@@ -1621,15 +1360,10 @@ mod tests {
 
         let prog = Counter { n: 4, target: 3 };
         let mut m = Machine::new(&prog, 4, CycleBudget::PAPER).unwrap();
-        let status = m
-            .run_controlled(&mut NoFailures, RunLimits::default(), &mut NoopObserver, |c| {
-                if c == 1 {
-                    RunControl::Pause
-                } else {
-                    RunControl::Continue
-                }
-            })
-            .unwrap();
+        let pause = &mut |c| if c == 1 { RunControl::Pause } else { RunControl::Continue };
+        let status =
+            m.run_with(&mut NoFailures, RunSpec { control: Some(pause), ..RunSpec::default() });
+        let status = status.unwrap();
         assert!(matches!(status, RunStatus::Paused { cycle: 1 }));
         let mut bytes = Vec::new();
         m.save_checkpoint(&NoFailures).unwrap().encode_into(&mut bytes);

@@ -1,9 +1,11 @@
 //! The persistent tick pool behind the threaded engine.
 //!
-//! [`Machine::run_threaded`](crate::Machine::run_threaded) used to spawn a
-//! fresh set of scoped OS threads **every tick**; at millions of ticks per
-//! run the spawn/join cost dominated. [`TickPool`] replaces that with
-//! long-lived workers created once per run:
+//! The threaded engine once spawned a fresh set of scoped OS threads
+//! **every tick**; at millions of ticks per run the spawn/join cost
+//! dominated. [`TickPool`] replaces that with long-lived workers, owned by
+//! a [`SharedPool`](crate::SharedPool) that lives for a run segment
+//! ([`ExecMode::Threads`](crate::ExecMode::Threads)) or for as long as its
+//! caller keeps it ([`ExecMode::Pool`](crate::ExecMode::Pool)):
 //!
 //! * each tick the coordinator publishes one *job* (a borrowed closure
 //!   processing a half-open index range) and bumps a shared epoch counter;
@@ -208,8 +210,9 @@ struct WorkerSlot {
     claims: AtomicU64,
 }
 
-/// Shared coordination state for one run's worker pool. Lives on the
-/// coordinator's stack; workers borrow it through the thread scope.
+/// Shared coordination state for one worker pool. A
+/// [`SharedPool`](crate::SharedPool) owns it and its workers; the thread
+/// driving a run segment is the coordinator.
 pub(crate) struct TickPool {
     /// Incremented once per published pooled job; workers run at most one
     /// claim loop per epoch. This is the coordinator→worker barrier sense.
@@ -530,19 +533,19 @@ impl TickPool {
     }
 }
 
-/// Shuts the pool down when dropped, so worker threads exit and the
-/// enclosing `thread::scope` can join even if the run loop unwinds.
-pub(crate) struct PoolShutdown<'a>(pub(crate) &'a TickPool);
-
-impl Drop for PoolShutdown<'_> {
-    fn drop(&mut self) {
-        self.0.shutdown();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Shuts the pool down when dropped, so worker threads exit and the
+    /// enclosing `thread::scope` can join even if a test panics.
+    struct PoolShutdown<'a>(&'a TickPool);
+
+    impl Drop for PoolShutdown<'_> {
+        fn drop(&mut self) {
+            self.0.shutdown();
+        }
+    }
 
     /// Force the pooled path regardless of host core count.
     fn pooled_tuning() -> PoolTuning {

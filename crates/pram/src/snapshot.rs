@@ -17,14 +17,13 @@
 //! does charge its reads).
 //!
 //! Since PR 5 the machine is a thin wrapper over the model-generic
-//! [`Core`](crate::exec::Core): this module contributes only the *snapshot
+//! [`Core`]: this module contributes only the *snapshot
 //! model* — the free whole-memory read phase and its `S'` charging rule —
 //! while the run loop, adversary validation, COMMON write merging,
 //! accounting and failure-pattern recording are the exact same code the
 //! word machine runs. That buys the snapshot machine everything the word
-//! engine had grown separately: [`Observer`] event streams
-//! ([`SnapshotMachine::run_observed`]), pausable runs
-//! ([`SnapshotMachine::run_controlled`]) and versioned checkpoint
+//! engine had grown separately: [`Observer`](crate::Observer) event streams and pausable
+//! runs ([`SnapshotMachine::run_with`]) and versioned checkpoint
 //! save/restore — all byte-identical in behavior to the pre-unification
 //! engine (pinned by `tests/golden_equivalence.rs`).
 //!
@@ -47,10 +46,9 @@ use crate::adversary::{Adversary, TentativeCycle};
 use crate::checkpoint::Checkpoint;
 use crate::cycle::{Step, WriteSet};
 use crate::error::{BudgetKind, PramError};
-use crate::exec::{Core, ExecutionModel, RunControl, RunLimits, RunStatus, SeqBackend};
+use crate::exec::{Core, ExecutionModel, RunSpec, RunStatus, SeqBackend};
 use crate::memory::{MemoryLayout, SharedMemory};
 use crate::mode::WriteMode;
-use crate::trace::{NoopObserver, Observer};
 use crate::unvisited::UnvisitedIndex;
 use crate::word::{Pid, Word};
 use crate::{CompletionHint, Result};
@@ -335,7 +333,7 @@ impl<'p, P: SnapshotProgram> ExecutionModel for SnapModel<'p, P> {
 
 /// Executor for the snapshot model. Mirrors [`Machine`](crate::Machine)
 /// with the read phase replaced by a free whole-memory snapshot; both are
-/// wrappers over the same [`Core`](crate::exec::Core).
+/// wrappers over the same [`Core`].
 #[derive(Debug)]
 pub struct SnapshotMachine<'p, P: SnapshotProgram> {
     model: SnapModel<'p, P>,
@@ -412,64 +410,35 @@ impl<'p, P: SnapshotProgram> SnapshotMachine<'p, P> {
         self.core.cycle
     }
 
-    /// Run to completion under `adversary`.
+    /// Run to completion under `adversary` with default [`RunLimits`](crate::RunLimits) —
+    /// [`SnapshotMachine::run_with`] with the default [`RunSpec`].
     ///
     /// # Errors
     ///
     /// See [`PramError`].
     pub fn run<A: Adversary>(&mut self, adversary: &mut A) -> Result<RunReport> {
-        self.run_with_limits(adversary, RunLimits::default())
+        let status = self.run_with(adversary, RunSpec::default())?;
+        Ok(status.completed().expect("a run without a control hook completes"))
     }
 
-    /// Run with explicit limits.
+    /// Run one segment under `adversary` as `spec` says — the snapshot
+    /// counterpart of [`Machine::run_with`](crate::Machine::run_with), with
+    /// the same limits, observer and pause/checkpoint/resume contract. The
+    /// event vocabulary is shared with the word machine, so one
+    /// trace/telemetry pipeline serves both models. The snapshot engine is
+    /// sequential only: `spec.exec` and `spec.isolation` are ignored.
     ///
     /// # Errors
     ///
     /// See [`PramError`].
-    pub fn run_with_limits<A: Adversary>(
+    pub fn run_with<A: Adversary>(
         &mut self,
         adversary: &mut A,
-        limits: RunLimits,
-    ) -> Result<RunReport> {
-        self.run_observed(adversary, limits, &mut NoopObserver)
-    }
-
-    /// Like [`SnapshotMachine::run_with_limits`], streaming every machine
-    /// event — cycle completions, failures, restarts, committed writes — to
-    /// `observer` (see [`crate::trace`]). The event vocabulary is shared
-    /// with the word machine, so one trace/telemetry pipeline serves both
-    /// models.
-    ///
-    /// # Errors
-    ///
-    /// See [`PramError`].
-    pub fn run_observed<A: Adversary>(
-        &mut self,
-        adversary: &mut A,
-        limits: RunLimits,
-        observer: &mut dyn Observer,
-    ) -> Result<RunReport> {
-        let SnapshotMachine { model, core } = self;
-        core.run_to_completion(model, adversary, limits, observer, &mut SeqBackend)
-    }
-
-    /// Run under `adversary` until completion **or** until `control`
-    /// requests a pause at a tick boundary — the snapshot counterpart of
-    /// [`Machine::run_controlled`](crate::Machine::run_controlled), with
-    /// the same pause/checkpoint/resume contract.
-    ///
-    /// # Errors
-    ///
-    /// See [`PramError`].
-    pub fn run_controlled<A: Adversary>(
-        &mut self,
-        adversary: &mut A,
-        limits: RunLimits,
-        observer: &mut dyn Observer,
-        control: impl FnMut(u64) -> RunControl,
+        spec: RunSpec<'_>,
     ) -> Result<RunStatus> {
+        let RunSpec { limits, observer, control, .. } = spec;
         let SnapshotMachine { model, core } = self;
-        core.run_loop(model, adversary, limits, observer, &mut SeqBackend, control)
+        core.run_loop(model, adversary, limits, observer, control, &mut SeqBackend)
     }
 
     /// Execute exactly one tick under `adversary` (no completion check).
@@ -480,20 +449,7 @@ impl<'p, P: SnapshotProgram> SnapshotMachine<'p, P> {
     ///
     /// See [`PramError`].
     pub fn tick<A: Adversary>(&mut self, adversary: &mut A) -> Result<()> {
-        self.tick_observed(adversary, &mut NoopObserver)
-    }
-
-    /// [`SnapshotMachine::tick`] with an event stream.
-    ///
-    /// # Errors
-    ///
-    /// See [`PramError`].
-    pub fn tick_observed<A: Adversary>(
-        &mut self,
-        adversary: &mut A,
-        observer: &mut dyn Observer,
-    ) -> Result<()> {
-        self.core.tick_observed(&self.model, adversary, observer)
+        self.core.tick(&self.model, adversary)
     }
 }
 

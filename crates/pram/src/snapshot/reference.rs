@@ -5,7 +5,7 @@
 //! the incremental unvisited index: it allocates its working vectors every
 //! tick, clones private states through the tentative phase, decides
 //! completion with the full [`SnapshotProgram::is_complete`] scan, and
-//! clones the [`FailurePattern`](crate::failure::FailurePattern) into the
+//! clones the [`FailurePattern`] into the
 //! report. It is deliberately *not* optimised — its value is that its
 //! control flow is the old, independently-reviewed one, so the equivalence
 //! proptests in `tests/snapshot_equivalence.rs` can replay arbitrary legal
@@ -92,25 +92,12 @@ impl<'p, P: SnapshotProgram> ReferenceSnapshotMachine<'p, P> {
         &self.stats
     }
 
-    /// Run to completion under `adversary`.
+    /// Run to completion under `adversary` within `limits`.
     ///
     /// # Errors
     ///
     /// See [`PramError`].
-    pub fn run<A: Adversary>(&mut self, adversary: &mut A) -> Result<RunReport> {
-        self.run_with_limits(adversary, RunLimits::default())
-    }
-
-    /// Run with explicit limits.
-    ///
-    /// # Errors
-    ///
-    /// See [`PramError`].
-    pub fn run_with_limits<A: Adversary>(
-        &mut self,
-        adversary: &mut A,
-        limits: RunLimits,
-    ) -> Result<RunReport> {
+    pub fn run<A: Adversary>(&mut self, adversary: &mut A, limits: RunLimits) -> Result<RunReport> {
         let p = self.procs.len();
         let mut tentative: Vec<Option<TentativeCycle>> = vec![None; p];
         let mut post_states: Vec<Option<P::Private>> = vec![None; p];

@@ -22,9 +22,9 @@
 //! the two are pinned byte for byte in the test suite, and the derived
 //! `Deserialize` parses the lines back.
 //!
-//! Both engines emit the identical stream for identical runs: the
-//! threaded backend ([`Machine::run_threaded_observed`]
-//! (crate::Machine::run_threaded_observed)) shares the sequential
+//! Every engine emits the identical stream for identical runs: the
+//! pooled and panic-isolating engines
+//! ([`Machine::run_with`](crate::Machine::run_with)) share the sequential
 //! engine's observed run loop, which the test suite pins with a
 //! byte-identical JSONL comparison under a replayed failure pattern.
 
@@ -406,10 +406,8 @@ impl RunSeries {
 
 /// Folds the event stream into a per-tick [`TickMetrics`] series.
 ///
-/// Attach to any observed entry point
-/// ([`Machine::run_observed`](crate::Machine::run_observed),
-/// [`Machine::run_threaded_observed`](crate::Machine::run_threaded_observed),
-/// [`Machine::tick_observed`](crate::Machine::tick_observed)); call
+/// Attach as the observer of a run
+/// ([`RunSpec::observer`](crate::RunSpec::observer)); call
 /// [`MetricsObserver::finish`] afterwards to close the final tick and take
 /// the [`RunSeries`].
 #[derive(Clone, Debug)]
@@ -489,8 +487,7 @@ impl MetricsObserver {
     }
 
     /// The rows of every *closed* tick so far (streaming consumers can
-    /// read this between [`Machine::tick_observed`]
-    /// (crate::Machine::tick_observed) calls).
+    /// read this between paused run segments).
     pub fn ticks(&self) -> &[TickMetrics] {
         &self.ticks
     }

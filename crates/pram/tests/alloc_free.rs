@@ -23,8 +23,8 @@ use std::sync::{Mutex, MutexGuard};
 
 use rfsp_pram::snapshot::{SnapshotMachine, SnapshotProgram, SnapshotView};
 use rfsp_pram::{
-    CompletionHint, CycleBudget, LayoutBuilder, Machine, NoFailures, Pid, Program, ReadSet, Region,
-    RunLimits, SharedMemory, Step, Word, WriteSet,
+    CompletionHint, CycleBudget, ExecMode, LayoutBuilder, Machine, NoFailures, Pid, Program,
+    ReadSet, Region, RunSpec, SharedMemory, Step, Word, WriteSet,
 };
 
 /// [`Grind`] with completion hints, so the pooled run builds the
@@ -271,7 +271,8 @@ fn pooled_allocations_do_not_grow_with_tick_count() {
         let prog = Grind { n: p, target };
         let mut m = Machine::new(&prog, p, CycleBudget::PAPER).unwrap();
         let before = window.allocations();
-        m.run_threaded(&mut NoFailures, RunLimits::default(), threads).unwrap();
+        let spec = RunSpec { exec: ExecMode::Threads(threads), ..RunSpec::default() };
+        m.run_with(&mut NoFailures, spec).unwrap();
         window.allocations() - before
     };
     let short = measure(16);
@@ -304,7 +305,8 @@ fn forced_parallel_commit_allocations_do_not_grow_with_tick_count() {
         let prog = HintedGrind { n: p, target };
         let mut m = Machine::new(&prog, p, CycleBudget::PAPER).unwrap();
         let before = window.allocations();
-        m.run_threaded(&mut NoFailures, RunLimits::default(), threads).unwrap();
+        let spec = RunSpec { exec: ExecMode::Threads(threads), ..RunSpec::default() };
+        m.run_with(&mut NoFailures, spec).unwrap();
         window.allocations() - before
     };
     let short = measure(16);

@@ -11,9 +11,10 @@
 use proptest::prelude::*;
 use rfsp_pram::snapshot::{SnapshotMachine, SnapshotProgram, SnapshotView};
 use rfsp_pram::{
-    Checkpoint, CompletionHint, CycleBudget, FailPoint, FailureEvent, FailureKind, FailurePattern,
-    Machine, MemoryLayout, Pid, PramError, Program, ReadSet, RunControl, RunLimits, RunReport,
-    RunStatus, ScheduledAdversary, SharedMemory, Step, TraceRecorder, Word, WriteSet,
+    Checkpoint, CompletionHint, CycleBudget, ExecMode, FailPoint, FailureEvent, FailureKind,
+    FailurePattern, Machine, MemoryLayout, Pid, PramError, Program, ReadSet, RunControl, RunLimits,
+    RunReport, RunSpec, RunStatus, ScheduledAdversary, SharedMemory, Step, TraceRecorder, Word,
+    WriteSet,
 };
 
 /// Round-trip `ck` through the binary checkpoint codec.
@@ -141,10 +142,9 @@ fn word_run(
     let mut m = Machine::with_layout(prog, p, CycleBudget::PAPER, layout).unwrap();
     let mut adv = ScheduledAdversary::new(pattern.clone());
     let mut trace = TraceRecorder::unbounded();
-    let report = match threads {
-        None => m.run_observed(&mut adv, limits, &mut trace).unwrap(),
-        Some(t) => m.run_threaded_observed(&mut adv, limits, t, &mut trace).unwrap(),
-    };
+    let exec = threads.map_or(ExecMode::Sequential, ExecMode::Threads);
+    let spec = RunSpec { limits, exec, observer: Some(&mut trace), ..RunSpec::default() };
+    let report = m.run_with(&mut adv, spec).unwrap().completed().unwrap();
     Observables {
         events: trace.to_jsonl(),
         report,
@@ -209,7 +209,8 @@ proptest! {
             let mut m = SnapshotMachine::with_layout(&prog, p, 1, layout).unwrap();
             let mut adv = ScheduledAdversary::new(pattern.clone());
             let mut trace = TraceRecorder::unbounded();
-            let report = m.run_observed(&mut adv, limits, &mut trace).unwrap();
+            let spec = RunSpec { limits, observer: Some(&mut trace), ..RunSpec::default() };
+            let report = m.run_with(&mut adv, spec).unwrap().completed().unwrap();
             (
                 trace.to_jsonl(),
                 report,
@@ -247,16 +248,18 @@ proptest! {
         let layout = MemoryLayout::Banked { banks, interleave };
 
         let mut straight = Machine::with_layout(&prog, p, CycleBudget::PAPER, layout).unwrap();
+        let spec = || RunSpec { limits, ..RunSpec::default() };
         let report_s = straight
-            .run_with_limits(&mut ScheduledAdversary::new(pattern.clone()), limits)
+            .run_with(&mut ScheduledAdversary::new(pattern.clone()), spec())
+            .unwrap()
+            .completed()
             .unwrap();
 
         let mut first = Machine::with_layout(&prog, p, CycleBudget::PAPER, layout).unwrap();
         let mut adv1 = ScheduledAdversary::new(pattern.clone());
+        let pause = &mut |cycle| if cycle >= pause_at { RunControl::Pause } else { RunControl::Continue };
         let status = first
-            .run_controlled(&mut adv1, limits, &mut rfsp_pram::NoopObserver, |cycle| {
-                if cycle >= pause_at { RunControl::Pause } else { RunControl::Continue }
-            })
+            .run_with(&mut adv1, RunSpec { limits, control: Some(pause), ..RunSpec::default() })
             .unwrap();
 
         let (report_r, mem_r, counters_r) = match status {
@@ -271,7 +274,7 @@ proptest! {
                 let mut second = Machine::with_layout(&prog, p, CycleBudget::PAPER, layout).unwrap();
                 let mut adv2 = ScheduledAdversary::new(pattern.clone());
                 second.restore_checkpoint(&ck, &mut adv2).unwrap();
-                let report = second.run_with_limits(&mut adv2, limits).unwrap();
+                let report = second.run_with(&mut adv2, spec()).unwrap().completed().unwrap();
                 (report, second.memory().to_vec(), second.memory().bank_counters())
             }
         };
@@ -292,15 +295,9 @@ fn cross_layout_restore_is_refused() {
     let layout = MemoryLayout::Banked { banks: 2, interleave: 1 };
     let mut banked = Machine::with_layout(&prog, 4, CycleBudget::PAPER, layout).unwrap();
     let mut adv = ScheduledAdversary::new(FailurePattern::new());
-    let status = banked
-        .run_controlled(&mut adv, RunLimits::default(), &mut rfsp_pram::NoopObserver, |cycle| {
-            if cycle >= 1 {
-                RunControl::Pause
-            } else {
-                RunControl::Continue
-            }
-        })
-        .unwrap();
+    let pause = &mut |cycle| if cycle >= 1 { RunControl::Pause } else { RunControl::Continue };
+    let status =
+        banked.run_with(&mut adv, RunSpec { control: Some(pause), ..RunSpec::default() }).unwrap();
     assert!(matches!(status, RunStatus::Paused { .. }));
     let ck = banked.save_checkpoint(&adv).unwrap();
 

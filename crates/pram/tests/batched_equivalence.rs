@@ -22,9 +22,9 @@
 use proptest::prelude::*;
 use rfsp_pram::snapshot::{SnapshotMachine, SnapshotProgram, SnapshotView};
 use rfsp_pram::{
-    CompletionHint, CycleBudget, FailPoint, FailureEvent, FailureKind, FailurePattern, Machine,
-    MemoryLayout, Pid, Program, ReadSet, RunLimits, RunReport, ScheduledAdversary, SharedMemory,
-    Step, TraceRecorder, Word, WriteSet,
+    CompletionHint, CycleBudget, ExecMode, FailPoint, FailureEvent, FailureKind, FailurePattern,
+    Machine, MemoryLayout, Pid, Program, ReadSet, RunLimits, RunReport, RunSpec,
+    ScheduledAdversary, SharedMemory, Step, TraceRecorder, Word, WriteSet,
 };
 
 /// Block-assigned Write-All with completion hints — a *tracked* program,
@@ -183,10 +183,9 @@ fn word_run(
     m.set_batch_width(batch_width);
     let mut adv = ScheduledAdversary::new(pattern.clone());
     let mut trace = TraceRecorder::unbounded();
-    let report = match threads {
-        None => m.run_observed(&mut adv, limits, &mut trace).unwrap(),
-        Some(t) => m.run_threaded_observed(&mut adv, limits, t, &mut trace).unwrap(),
-    };
+    let exec = threads.map_or(ExecMode::Sequential, ExecMode::Threads);
+    let spec = RunSpec { limits, exec, observer: Some(&mut trace), ..RunSpec::default() };
+    let report = m.run_with(&mut adv, spec).unwrap().completed().unwrap();
     Observables {
         events: trace.to_jsonl(),
         report,
@@ -207,7 +206,8 @@ fn snapshot_run(
     m.set_batch_width(width);
     let mut adv = ScheduledAdversary::new(pattern.clone());
     let mut trace = TraceRecorder::unbounded();
-    let report = m.run_observed(&mut adv, limits, &mut trace).unwrap();
+    let spec = RunSpec { limits, observer: Some(&mut trace), ..RunSpec::default() };
+    let report = m.run_with(&mut adv, spec).unwrap().completed().unwrap();
     Observables {
         events: trace.to_jsonl(),
         report,

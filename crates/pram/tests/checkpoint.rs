@@ -10,8 +10,8 @@ use proptest::prelude::*;
 use rfsp_pram::{
     Checkpoint, CycleBudget, FailPoint, FailureEvent, FailureKind, FailurePattern, Machine,
     MemoryLayout, Pid, ProcCheckpoint, ProcStatus, Program, ReadSet, RunControl, RunLimits,
-    RunStatus, ScheduledAdversary, SharedMemory, Step, TraceRecorder, Word, WorkStats, WriteMode,
-    WriteSet, CHECKPOINT_VERSION,
+    RunSpec, RunStatus, ScheduledAdversary, SharedMemory, Step, TraceRecorder, Word, WorkStats,
+    WriteMode, WriteSet, CHECKPOINT_VERSION,
 };
 use serde::Value;
 
@@ -112,8 +112,11 @@ proptest! {
         // Uninterrupted reference run.
         let mut straight = Machine::new(&prog, p, CycleBudget::PAPER).unwrap();
         let mut trace_s = TraceRecorder::unbounded();
+        let spec = RunSpec { limits, observer: Some(&mut trace_s), ..RunSpec::default() };
         let report_s = straight
-            .run_observed(&mut ScheduledAdversary::new(pattern.clone()), limits, &mut trace_s)
+            .run_with(&mut ScheduledAdversary::new(pattern.clone()), spec)
+            .unwrap()
+            .completed()
             .unwrap();
 
         // Interrupted run: pause at the fuzzed tick (if the run lives that
@@ -123,11 +126,12 @@ proptest! {
         let mut first = Machine::new(&prog, p, CycleBudget::PAPER).unwrap();
         let mut adv1 = ScheduledAdversary::new(pattern.clone());
         let mut trace_a = TraceRecorder::unbounded();
-        let status = first
-            .run_controlled(&mut adv1, limits, &mut trace_a, |cycle| {
-                if cycle >= pause_at { RunControl::Pause } else { RunControl::Continue }
-            })
-            .unwrap();
+        let pause = &mut |cycle| {
+            if cycle >= pause_at { RunControl::Pause } else { RunControl::Continue }
+        };
+        let observer = Some(&mut trace_a as _);
+        let spec = RunSpec { limits, observer, control: Some(pause), ..RunSpec::default() };
+        let status = first.run_with(&mut adv1, spec).unwrap();
 
         let (report_r, trace_b, mem_r) = match status {
             RunStatus::Completed(report) => {
@@ -144,7 +148,8 @@ proptest! {
                 let mut adv2 = ScheduledAdversary::new(pattern.clone());
                 second.restore_checkpoint(&ck, &mut adv2).unwrap();
                 let mut trace_b = TraceRecorder::unbounded();
-                let report = second.run_observed(&mut adv2, limits, &mut trace_b).unwrap();
+                let spec = RunSpec { limits, observer: Some(&mut trace_b), ..RunSpec::default() };
+                let report = second.run_with(&mut adv2, spec).unwrap().completed().unwrap();
                 let mem = second.memory().as_slice().to_vec();
                 (report, trace_b, mem)
             }
@@ -290,11 +295,12 @@ proptest! {
         let mut m = Machine::with_layout(&prog, p, CycleBudget::PAPER, layout).unwrap();
         let mut adv = ScheduledAdversary::new(legal_schedule(p, raw));
         let limits = RunLimits { max_cycles: 1_000_000 };
-        let _ = m
-            .run_controlled(&mut adv, limits, &mut TraceRecorder::unbounded(), |cycle| {
-                if cycle >= pause_at { RunControl::Pause } else { RunControl::Continue }
-            })
-            .unwrap();
+        let pause = &mut |cycle| {
+            if cycle >= pause_at { RunControl::Pause } else { RunControl::Continue }
+        };
+        let observer = Some(&mut TraceRecorder::unbounded() as _);
+        let spec = RunSpec { limits, observer, control: Some(pause), ..RunSpec::default() };
+        let _ = m.run_with(&mut adv, spec).unwrap();
         let mut want = Vec::new();
         let ck = m.save_checkpoint(&adv).unwrap();
         let want_len = ck.encode_state_into(&mut want);
@@ -328,15 +334,10 @@ fn copy_free_frame_mid_run_with_failures() {
     .map(|(kind, pid, time)| FailureEvent { kind, pid, time })
     .collect();
     let mut adv = ScheduledAdversary::new(pattern);
-    let status = m
-        .run_controlled(&mut adv, RunLimits::default(), &mut TraceRecorder::unbounded(), |c| {
-            if c >= 6 {
-                RunControl::Pause
-            } else {
-                RunControl::Continue
-            }
-        })
-        .unwrap();
+    let mut trace = TraceRecorder::unbounded();
+    let pause = &mut |c| if c >= 6 { RunControl::Pause } else { RunControl::Continue };
+    let spec = RunSpec { observer: Some(&mut trace), control: Some(pause), ..RunSpec::default() };
+    let status = m.run_with(&mut adv, spec).unwrap();
     assert!(matches!(status, RunStatus::Paused { cycle: 6 }));
     let ck = m.save_checkpoint(&adv).unwrap();
     assert_eq!(ck.pattern.size(), 3, "two failures and one restart so far");

@@ -19,9 +19,9 @@ use std::path::PathBuf;
 
 use rfsp_pram::snapshot::{SnapshotMachine, SnapshotProgram, SnapshotView};
 use rfsp_pram::{
-    CompletionHint, CycleBudget, FailPoint, FailureEvent, FailureKind, FailurePattern, Machine,
-    MemoryLayout, Pid, Program, ReadSet, RunLimits, RunReport, ScheduledAdversary, SharedMemory,
-    Step, TraceRecorder, Word, WriteSet,
+    CompletionHint, CycleBudget, ExecMode, FailPoint, FailureEvent, FailureKind, FailurePattern,
+    Machine, MemoryLayout, PanicPolicy, Pid, Program, ReadSet, RunControl, RunReport, RunSpec,
+    RunStatus, ScheduledAdversary, SharedMemory, SharedPool, Step, TraceRecorder, Word, WriteSet,
 };
 
 fn fixture_path(name: &str) -> PathBuf {
@@ -60,6 +60,30 @@ fn summary(events_jsonl: &str, report: &RunReport, mem: &SharedMemory) -> String
         mem.read_count(),
         mem.write_count(),
     )
+}
+
+/// Drive a run to completion through `segment`, which runs one segment
+/// under the pause hook it is given. With `every`, the hook pauses at each
+/// multiple of `every` ticks and the run resumes from the pause; the run
+/// must pause at least once.
+fn in_segments(
+    every: Option<u64>,
+    mut segment: impl FnMut(&mut dyn FnMut(u64) -> RunControl) -> RunStatus,
+) -> RunReport {
+    let mut resumed_at = 0;
+    loop {
+        let mut control = |cycle: u64| match every {
+            Some(k) if cycle > resumed_at && cycle.is_multiple_of(k) => RunControl::Pause,
+            _ => RunControl::Continue,
+        };
+        match segment(&mut control) {
+            RunStatus::Completed(report) => {
+                assert!(every.is_none() || resumed_at > 0, "the run never paused");
+                return report;
+            }
+            RunStatus::Paused { cycle } => resumed_at = cycle,
+        }
+    }
 }
 
 fn fail(pid: usize, time: u64, point: FailPoint) -> FailureEvent {
@@ -152,8 +176,12 @@ fn word_summary_layout(
 
 #[test]
 fn word_sequential_matches_golden() {
-    let actual =
-        word_summary(|m, adv, trace| m.run_observed(adv, RunLimits::default(), trace).unwrap());
+    let actual = word_summary(|m, adv, trace| {
+        m.run_with(adv, RunSpec { observer: Some(trace), ..RunSpec::default() })
+            .unwrap()
+            .completed()
+            .unwrap()
+    });
     check_golden("golden_word.txt", &actual);
 }
 
@@ -162,7 +190,13 @@ fn word_sequential_matches_golden() {
 #[test]
 fn word_pooled_matches_golden() {
     let actual = word_summary(|m, adv, trace| {
-        m.run_threaded_observed(adv, RunLimits::default(), 3, trace).unwrap()
+        m.run_with(
+            adv,
+            RunSpec { exec: ExecMode::Threads(3), observer: Some(trace), ..RunSpec::default() },
+        )
+        .unwrap()
+        .completed()
+        .unwrap()
     });
     check_golden("golden_word.txt", &actual);
 }
@@ -174,7 +208,10 @@ fn word_pooled_matches_golden() {
 fn word_banked_matches_golden() {
     let layout = MemoryLayout::Banked { banks: 3, interleave: 2 };
     let actual = word_summary_layout(layout, |m, adv, trace| {
-        m.run_observed(adv, RunLimits::default(), trace).unwrap()
+        m.run_with(adv, RunSpec { observer: Some(trace), ..RunSpec::default() })
+            .unwrap()
+            .completed()
+            .unwrap()
     });
     check_golden("golden_word.txt", &actual);
 }
@@ -183,9 +220,58 @@ fn word_banked_matches_golden() {
 fn word_pooled_banked_matches_golden() {
     let layout = MemoryLayout::Banked { banks: 3, interleave: 2 };
     let actual = word_summary_layout(layout, |m, adv, trace| {
-        m.run_threaded_observed(adv, RunLimits::default(), 3, trace).unwrap()
+        m.run_with(
+            adv,
+            RunSpec { exec: ExecMode::Threads(3), observer: Some(trace), ..RunSpec::default() },
+        )
+        .unwrap()
+        .completed()
+        .unwrap()
     });
     check_golden("golden_word.txt", &actual);
+}
+
+/// Every (`exec`, `isolation`) pair, run straight through and paused
+/// every 3 ticks, must reproduce the one fixture.
+fn word_rows_match_golden(label: &str, exec: ExecMode<'_>) {
+    let expected = fs::read_to_string(fixture_path("golden_word.txt")).unwrap();
+    for isolation in [None, Some(PanicPolicy::Surface), Some(PanicPolicy::FallbackSequential)] {
+        for every in [None, Some(3)] {
+            let actual = word_summary(|m, adv, trace| {
+                in_segments(every, |control| {
+                    let observer = Some(&mut *trace as _);
+                    let spec = RunSpec {
+                        exec,
+                        isolation,
+                        observer,
+                        control: Some(control),
+                        ..RunSpec::default()
+                    };
+                    m.run_with(adv, spec).unwrap()
+                })
+            });
+            assert_eq!(
+                actual, expected,
+                "{label} x {isolation:?}, pause every {every:?}: diverged from golden_word.txt"
+            );
+        }
+    }
+}
+
+#[test]
+fn word_sequential_rows_match_golden() {
+    word_rows_match_golden("Sequential", ExecMode::Sequential);
+}
+
+#[test]
+fn word_threads_rows_match_golden() {
+    word_rows_match_golden("Threads(3)", ExecMode::Threads(3));
+}
+
+#[test]
+fn word_pool_rows_match_golden() {
+    let pool = SharedPool::new(2).unwrap();
+    word_rows_match_golden("Pool(2)", ExecMode::Pool(&pool));
 }
 
 // ------------------------------------------------------------ snapshot model
@@ -278,7 +364,28 @@ fn snapshot_trace_matches_golden() {
     let mut m = SnapshotMachine::new(&prog, 4, 1).unwrap();
     let mut adv = ScheduledAdversary::new(snapshot_schedule());
     let mut trace = TraceRecorder::unbounded();
-    let report = m.run_observed(&mut adv, RunLimits::default(), &mut trace).unwrap();
+    let report = m
+        .run_with(&mut adv, RunSpec { observer: Some(&mut trace), ..RunSpec::default() })
+        .unwrap()
+        .completed()
+        .unwrap();
     let actual = summary(&trace.to_jsonl(), &report, m.memory());
     check_golden("golden_snapshot_trace.txt", &actual);
+}
+
+/// The snapshot trace survives pausing every 3 ticks and resuming.
+#[test]
+fn snapshot_paused_trace_matches_golden() {
+    let prog = SnapHinted { n: 12 };
+    let mut m = SnapshotMachine::new(&prog, 4, 1).unwrap();
+    let mut adv = ScheduledAdversary::new(snapshot_schedule());
+    let mut trace = TraceRecorder::unbounded();
+    let report = in_segments(Some(3), |control| {
+        let spec =
+            RunSpec { observer: Some(&mut trace), control: Some(control), ..RunSpec::default() };
+        m.run_with(&mut adv, spec).unwrap()
+    });
+    let actual = summary(&trace.to_jsonl(), &report, m.memory());
+    let expected = fs::read_to_string(fixture_path("golden_snapshot_trace.txt")).unwrap();
+    assert_eq!(actual, expected, "paused snapshot run diverged from golden_snapshot_trace.txt");
 }

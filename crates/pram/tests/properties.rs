@@ -2,9 +2,9 @@
 
 use proptest::prelude::*;
 use rfsp_pram::{
-    CycleBudget, FailPoint, FailureEvent, FailureKind, FailurePattern, LayoutBuilder, Machine,
-    Observer, Pid, Program, ReadSet, RunLimits, ScheduledAdversary, SharedMemory, Step, TraceEvent,
-    TraceRecorder, Word, WriteMode, WriteSet,
+    CycleBudget, ExecMode, FailPoint, FailureEvent, FailureKind, FailurePattern, LayoutBuilder,
+    Machine, Observer, Pid, Program, ReadSet, RunLimits, RunSpec, ScheduledAdversary, SharedMemory,
+    Step, TraceEvent, TraceRecorder, Word, WriteMode, WriteSet,
 };
 
 proptest! {
@@ -186,9 +186,9 @@ proptest! {
             m.set_write_mode(WriteMode::Arbitrary);
         }
         let mut adv = ScheduledAdversary::new(pattern);
-        let report = m
-            .run_with_limits(&mut adv, RunLimits { max_cycles: 1_000_000 })
-            .unwrap();
+        let limits = RunLimits { max_cycles: 1_000_000 };
+        let spec = RunSpec { limits, ..RunSpec::default() };
+        let report = m.run_with(&mut adv, spec).unwrap().completed().unwrap();
         for i in 0..p {
             prop_assert!(m.memory().peek(i) >= target);
         }
@@ -215,20 +215,22 @@ proptest! {
 
         let mut seq_trace = TraceRecorder::unbounded();
         let mut seq_machine = Machine::new(&prog, p, CycleBudget::PAPER).unwrap();
+        let spec = RunSpec { limits, observer: Some(&mut seq_trace), ..RunSpec::default() };
         let seq = seq_machine
-            .run_observed(&mut ScheduledAdversary::new(pattern.clone()), limits, &mut seq_trace)
+            .run_with(&mut ScheduledAdversary::new(pattern.clone()), spec)
+            .unwrap()
+            .completed()
             .unwrap();
         let seq_mem: Vec<Word> = (0..p).map(|i| seq_machine.memory().peek(i)).collect();
 
         let mut pool_trace = TraceRecorder::unbounded();
         let mut pool_machine = Machine::new(&prog, p, CycleBudget::PAPER).unwrap();
+        let exec = ExecMode::Threads(threads);
+        let spec = RunSpec { limits, exec, observer: Some(&mut pool_trace), ..RunSpec::default() };
         let pooled = pool_machine
-            .run_threaded_observed(
-                &mut ScheduledAdversary::new(pattern),
-                limits,
-                threads,
-                &mut pool_trace,
-            )
+            .run_with(&mut ScheduledAdversary::new(pattern), spec)
+            .unwrap()
+            .completed()
             .unwrap();
         let pool_mem: Vec<Word> = (0..p).map(|i| pool_machine.memory().peek(i)).collect();
 

@@ -11,7 +11,7 @@ use proptest::prelude::*;
 use rfsp_pram::snapshot::{SnapshotMachine, SnapshotProgram, SnapshotView};
 use rfsp_pram::{
     Checkpoint, CompletionHint, FailPoint, FailureEvent, FailureKind, FailurePattern, MemoryLayout,
-    NoopObserver, Pid, RunControl, RunLimits, RunStatus, ScheduledAdversary, SharedMemory, Step,
+    Pid, RunControl, RunLimits, RunSpec, RunStatus, ScheduledAdversary, SharedMemory, Step,
     TraceRecorder, Word, WriteSet,
 };
 
@@ -120,8 +120,11 @@ proptest! {
         // Uninterrupted reference run.
         let mut straight = SnapshotMachine::new(&prog, p, 1).unwrap();
         let mut trace_s = TraceRecorder::unbounded();
+        let spec = RunSpec { limits, observer: Some(&mut trace_s), ..RunSpec::default() };
         let report_s = straight
-            .run_observed(&mut ScheduledAdversary::new(pattern.clone()), limits, &mut trace_s)
+            .run_with(&mut ScheduledAdversary::new(pattern.clone()), spec)
+            .unwrap()
+            .completed()
             .unwrap();
 
         // Interrupted run: pause at the fuzzed tick (if the run lives that
@@ -131,11 +134,12 @@ proptest! {
         let mut first = SnapshotMachine::new(&prog, p, 1).unwrap();
         let mut adv1 = ScheduledAdversary::new(pattern.clone());
         let mut trace_a = TraceRecorder::unbounded();
-        let status = first
-            .run_controlled(&mut adv1, limits, &mut trace_a, |cycle| {
-                if cycle >= pause_at { RunControl::Pause } else { RunControl::Continue }
-            })
-            .unwrap();
+        let pause = &mut |cycle| {
+            if cycle >= pause_at { RunControl::Pause } else { RunControl::Continue }
+        };
+        let observer = Some(&mut trace_a as _);
+        let spec = RunSpec { limits, observer, control: Some(pause), ..RunSpec::default() };
+        let status = first.run_with(&mut adv1, spec).unwrap();
 
         let (report_r, trace_b, mem_r) = match status {
             RunStatus::Completed(report) => {
@@ -153,7 +157,8 @@ proptest! {
                 let mut adv2 = ScheduledAdversary::new(pattern.clone());
                 second.restore_checkpoint(&ck, &mut adv2).unwrap();
                 let mut trace_b = TraceRecorder::unbounded();
-                let report = second.run_observed(&mut adv2, limits, &mut trace_b).unwrap();
+                let spec = RunSpec { limits, observer: Some(&mut trace_b), ..RunSpec::default() };
+                let report = second.run_with(&mut adv2, spec).unwrap().completed().unwrap();
                 let mem = second.memory().as_slice().to_vec();
                 (report, trace_b, mem)
             }
@@ -230,11 +235,10 @@ proptest! {
         let prog = SteppedSnap { n: 4 * p };
         let mut m = SnapshotMachine::with_layout(&prog, p, 1, layout).unwrap();
         let mut adv = ScheduledAdversary::new(legal_schedule(p, raw));
-        let _ = m
-            .run_controlled(&mut adv, RunLimits::default(), &mut NoopObserver, |cycle| {
-                if cycle >= pause_at { RunControl::Pause } else { RunControl::Continue }
-            })
-            .unwrap();
+        let pause = &mut |cycle| {
+            if cycle >= pause_at { RunControl::Pause } else { RunControl::Continue }
+        };
+        let _ = m.run_with(&mut adv, RunSpec { control: Some(pause), ..RunSpec::default() }).unwrap();
         let mut want = Vec::new();
         let want_len = m.save_checkpoint(&adv).unwrap().encode_state_into(&mut want);
         let mut got = Vec::new();

@@ -15,7 +15,7 @@ use rfsp_pram::snapshot::reference::ReferenceSnapshotMachine;
 use rfsp_pram::snapshot::{SnapshotMachine, SnapshotProgram, SnapshotView};
 use rfsp_pram::{
     CompletionHint, FailPoint, FailureEvent, FailureKind, FailurePattern, LayoutBuilder, Pid,
-    Region, RunLimits, ScheduledAdversary, SharedMemory, Step, Word, WriteSet,
+    Region, RunLimits, RunSpec, ScheduledAdversary, SharedMemory, Step, Word, WriteSet,
 };
 
 /// Snapshot Write-All with an irregular (but deterministic) assignment
@@ -125,12 +125,15 @@ proptest! {
 
         let mut reference = ReferenceSnapshotMachine::new(&prog, p, 1).unwrap();
         let old = reference
-            .run_with_limits(&mut ScheduledAdversary::new(pattern.clone()), limits)
+            .run(&mut ScheduledAdversary::new(pattern.clone()), limits)
             .unwrap();
 
         let mut machine = SnapshotMachine::new(&prog, p, 1).unwrap();
+        let spec = RunSpec { limits, ..RunSpec::default() };
         let new = machine
-            .run_with_limits(&mut ScheduledAdversary::new(pattern), limits)
+            .run_with(&mut ScheduledAdversary::new(pattern), spec)
+            .unwrap()
+            .completed()
             .unwrap();
 
         prop_assert_eq!(old.outcome, new.outcome);

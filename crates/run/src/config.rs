@@ -1,7 +1,8 @@
 //! The full run configuration — everything needed to rebuild a run's
 //! program and adversary from scratch — plus the adversary factory.
 //!
-//! [`RunConfig`] is stored verbatim inside every [`SessionCheckpoint`]
+//! [`RunConfig`] is stored verbatim inside every
+//! [`SessionCheckpoint`](crate::SessionCheckpoint)
 //! (so `--resume` and the daemon's spool re-adoption need no other flags)
 //! and travels the daemon wire protocol inside
 //! [`Request::Submit`](crate::Request::Submit).

@@ -2,61 +2,23 @@
 //!
 //! A [`RunSession`](crate::RunSession) does not care whether it is driving
 //! the word-model [`Machine`] or the §3 [`SnapshotMachine`]; it needs a
-//! handful of capabilities — run with a pause hook, run armored (panic
-//! isolation + a choice of tick engine), checkpoint, restore — expressed
-//! here as object-safe-ish methods over `&mut dyn Adversary` (the
-//! adversary blanket impls for `&mut A` make the concrete machines'
+//! handful of capabilities — run a segment, checkpoint, restore —
+//! expressed here as object-safe-ish methods over `&mut dyn Adversary`
+//! (the adversary blanket impls for `&mut A` make the concrete machines'
 //! generic entry points accept that shape directly).
 
 use rfsp_pram::snapshot::SnapshotMachine;
 use rfsp_pram::{
-    Adversary, Checkpoint, Machine, Observer, PanicPolicy, PramError, Program, RunControl,
-    RunLimits, RunReport, RunStatus, SharedMemory, SharedPool, SnapshotProgram,
+    Adversary, Checkpoint, ExecMode, Machine, Observer, PanicPolicy, PramError, Program,
+    RunControl, RunLimits, RunSpec, RunStatus, SharedMemory, SnapshotProgram,
 };
 use serde::{Deserialize, Serialize};
 
-/// Which tick engine an armored run segment uses.
-#[derive(Clone, Copy)]
-pub enum ExecMode<'a> {
-    /// The sequential engine (with panic catching).
-    Sequential,
-    /// A private per-run worker pool of this many threads (1 = sequential).
-    Threads(usize),
-    /// A caller-owned [`SharedPool`], time-shared between sessions; the
-    /// driving thread holds the pool's turn for the whole segment.
-    Pool(&'a SharedPool),
-}
-
 /// What the session layer needs from a machine.
 pub trait RunHost {
-    /// Plain sequential run with a pause hook (the engine the soak
-    /// harness's reference lanes use).
-    ///
-    /// # Errors
-    ///
-    /// See [`PramError`].
-    fn host_run_controlled(
-        &mut self,
-        adversary: &mut dyn Adversary,
-        limits: RunLimits,
-        observer: &mut dyn Observer,
-        control: &mut dyn FnMut(u64) -> RunControl,
-    ) -> Result<RunStatus, PramError>;
-
-    /// Plain sequential run to completion.
-    ///
-    /// # Errors
-    ///
-    /// See [`PramError`].
-    fn host_run(
-        &mut self,
-        adversary: &mut dyn Adversary,
-        limits: RunLimits,
-        observer: &mut dyn Observer,
-    ) -> Result<RunReport, PramError>;
-
-    /// The armored run: panic isolation under `policy`, the tick engine
-    /// `exec` names, and a pause hook at every tick boundary. Machines
+    /// Run one segment with panic isolation under `policy`, the tick
+    /// engine `exec` names, and a pause hook at every tick boundary — the
+    /// machine's `run_with` with every [`RunSpec`] field set. Machines
     /// without a threaded engine (the snapshot model) run sequentially and
     /// ignore `exec`/`policy`.
     ///
@@ -115,6 +77,23 @@ pub trait RunHost {
     fn host_memory(&self) -> &SharedMemory;
 }
 
+/// The [`RunSpec`] of [`RunHost::host_run_armored`].
+fn armored<'a>(
+    limits: RunLimits,
+    exec: ExecMode<'a>,
+    policy: PanicPolicy,
+    observer: &'a mut dyn Observer,
+    control: &'a mut dyn FnMut(u64) -> RunControl,
+) -> RunSpec<'a> {
+    RunSpec {
+        limits,
+        exec,
+        isolation: Some(policy),
+        observer: Some(observer),
+        control: Some(control),
+    }
+}
+
 /// The save-side adversary capability: [`Adversary::save_state`] through a
 /// shared reference (saving must not disturb the adversary).
 pub trait SaveableAdversary {
@@ -152,25 +131,6 @@ where
     P: Program + Sync,
     P::Private: Send + Serialize + Deserialize,
 {
-    fn host_run_controlled(
-        &mut self,
-        mut adversary: &mut dyn Adversary,
-        limits: RunLimits,
-        observer: &mut dyn Observer,
-        control: &mut dyn FnMut(u64) -> RunControl,
-    ) -> Result<RunStatus, PramError> {
-        self.run_controlled(&mut adversary, limits, observer, control)
-    }
-
-    fn host_run(
-        &mut self,
-        mut adversary: &mut dyn Adversary,
-        limits: RunLimits,
-        observer: &mut dyn Observer,
-    ) -> Result<RunReport, PramError> {
-        self.run_observed(&mut adversary, limits, observer)
-    }
-
     fn host_run_armored(
         &mut self,
         mut adversary: &mut dyn Adversary,
@@ -180,32 +140,7 @@ where
         observer: &mut dyn Observer,
         control: &mut dyn FnMut(u64) -> RunControl,
     ) -> Result<RunStatus, PramError> {
-        match exec {
-            ExecMode::Sequential => self.run_threaded_isolated_controlled(
-                &mut adversary,
-                limits,
-                1,
-                policy,
-                observer,
-                control,
-            ),
-            ExecMode::Threads(threads) => self.run_threaded_isolated_controlled(
-                &mut adversary,
-                limits,
-                threads,
-                policy,
-                observer,
-                control,
-            ),
-            ExecMode::Pool(pool) => self.run_pooled_isolated_controlled(
-                &mut adversary,
-                limits,
-                pool,
-                policy,
-                observer,
-                control,
-            ),
-        }
+        self.run_with(&mut adversary, armored(limits, exec, policy, observer, control))
     }
 
     fn host_save_checkpoint(
@@ -245,37 +180,16 @@ where
     P: SnapshotProgram,
     P::Private: Serialize + Deserialize,
 {
-    fn host_run_controlled(
-        &mut self,
-        mut adversary: &mut dyn Adversary,
-        limits: RunLimits,
-        observer: &mut dyn Observer,
-        control: &mut dyn FnMut(u64) -> RunControl,
-    ) -> Result<RunStatus, PramError> {
-        self.run_controlled(&mut adversary, limits, observer, control)
-    }
-
-    fn host_run(
-        &mut self,
-        mut adversary: &mut dyn Adversary,
-        limits: RunLimits,
-        observer: &mut dyn Observer,
-    ) -> Result<RunReport, PramError> {
-        self.run_observed(&mut adversary, limits, observer)
-    }
-
     fn host_run_armored(
         &mut self,
-        adversary: &mut dyn Adversary,
+        mut adversary: &mut dyn Adversary,
         limits: RunLimits,
-        _exec: ExecMode<'_>,
-        _policy: PanicPolicy,
+        exec: ExecMode<'_>,
+        policy: PanicPolicy,
         observer: &mut dyn Observer,
         control: &mut dyn FnMut(u64) -> RunControl,
     ) -> Result<RunStatus, PramError> {
-        // The snapshot engine is sequential-only; there is no pool to
-        // isolate panics on, so the armored run is the plain run.
-        self.host_run_controlled(adversary, limits, observer, control)
+        self.run_with(&mut adversary, armored(limits, exec, policy, observer, control))
     }
 
     fn host_save_checkpoint(

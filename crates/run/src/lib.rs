@@ -45,8 +45,9 @@ pub use atomic::write_atomic;
 pub use checkpoint::{SessionCheckpoint, SESSION_CHECKPOINT_VERSION};
 pub use config::{build_adversary, RunConfig};
 pub use events::{count_tick_starts, EventLog};
-pub use host::{ExecMode, RunHost};
+pub use host::RunHost;
 pub use protocol::{read_line, write_line, JobInfo, JobState, Request, Response};
+pub use rfsp_pram::ExecMode;
 pub use sched::Scheduler;
 pub use session::{run_with_cut, CutOutcome, PauseFlow, PauseInfo, RunSession, SessionEnd};
 pub use spool::{DoneMarker, Spool, SpoolJob};

@@ -21,15 +21,15 @@
 use std::time::Instant;
 
 use rfsp_pram::{
-    Adversary, Checkpoint, Observer, PolicyEngine, PolicyKind, PramError, RunLimits, RunReport,
-    RunStatus, SharedMemory, Tee, WastedWork,
+    Adversary, Checkpoint, ExecMode, NoopObserver, Observer, PanicPolicy, PolicyEngine, PolicyKind,
+    PramError, RunControl, RunLimits, RunReport, RunStatus, SharedMemory, Tee, WastedWork,
 };
 
 use crate::atomic::write_atomic;
 use crate::checkpoint::{encode_preamble, SessionCheckpoint};
 use crate::config::{build_adversary, RunConfig};
 use crate::events::EventLog;
-use crate::host::{ExecMode, RunHost};
+use crate::host::RunHost;
 use crate::{machine_err, RunError};
 
 /// What the caller decides at a pause.
@@ -398,7 +398,7 @@ pub fn run_with_cut<M: RunHost>(
         // decision-stream reference.
         let mut straight = build()?;
         let mut adv = make_adversary();
-        straight.host_run(&mut *adv, limits, engine)?;
+        segment(&mut straight, &mut *adv, limits, Some(engine), &mut |_| RunControl::Continue)?;
     }
 
     let mut first = build()?;
@@ -408,21 +408,12 @@ pub fn run_with_cut<M: RunHost>(
     let mut control = |cycle: u64| {
         if armed && cycle >= kill_at {
             armed = false;
-            rfsp_pram::RunControl::Pause
+            RunControl::Pause
         } else {
-            rfsp_pram::RunControl::Continue
+            RunControl::Continue
         }
     };
-    let status = match &mut engine {
-        Some(e) => first.host_run_controlled(&mut *adv, limits, e, &mut control)?,
-        None => first.host_run_controlled(
-            &mut *adv,
-            limits,
-            &mut rfsp_pram::NoopObserver,
-            &mut control,
-        )?,
-    };
-    match status {
+    match segment(&mut first, &mut *adv, limits, engine.as_mut(), &mut control)? {
         // Finished before the kill tick: nothing to resume.
         RunStatus::Completed(report) => {
             Ok(CutOutcome { report, machine: first, policy_states: None })
@@ -449,10 +440,11 @@ pub fn run_with_cut<M: RunHost>(
                 e.restore_state(&ck.policy)?;
             }
             second.host_restore_checkpoint(&ck, &mut *adv2)?;
-            let report = match &mut resumed_engine {
-                Some(e) => second.host_run(&mut *adv2, limits, e)?,
-                None => second.host_run(&mut *adv2, limits, &mut rfsp_pram::NoopObserver)?,
-            };
+            let status =
+                segment(&mut second, &mut *adv2, limits, resumed_engine.as_mut(), &mut |_| {
+                    RunControl::Continue
+                })?;
+            let report = status.completed().expect("a run without a pause completes");
             let policy_states = match (&ref_engine, &resumed_engine) {
                 (Some(r), Some(g)) => Some((
                     serde::json::to_string(&r.save_state()),
@@ -463,4 +455,28 @@ pub fn run_with_cut<M: RunHost>(
             Ok(CutOutcome { report, machine: second, policy_states })
         }
     }
+}
+
+/// One sequential segment of `machine` for [`run_with_cut`], observed by
+/// `engine` if given.
+fn segment<M: RunHost>(
+    machine: &mut M,
+    adversary: &mut dyn Adversary,
+    limits: RunLimits,
+    engine: Option<&mut PolicyEngine>,
+    control: &mut dyn FnMut(u64) -> RunControl,
+) -> Result<RunStatus, PramError> {
+    let mut noop = NoopObserver;
+    let observer: &mut dyn Observer = match engine {
+        Some(engine) => engine,
+        None => &mut noop,
+    };
+    machine.host_run_armored(
+        adversary,
+        limits,
+        ExecMode::Sequential,
+        PanicPolicy::Surface,
+        observer,
+        control,
+    )
 }

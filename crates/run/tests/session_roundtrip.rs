@@ -9,7 +9,7 @@ use rfsp_adversary::RandomFaults;
 use rfsp_core::{AlgoX, WriteAllTasks, XOptions};
 use rfsp_pram::{
     CompletionHint, CycleBudget, LayoutBuilder, Machine, Pid, PolicyKind, Program, ReadSet,
-    RunLimits, SharedMemory, Step, Word, WriteSet,
+    RunLimits, RunSpec, SharedMemory, Step, Word, WriteSet,
 };
 use rfsp_run::{
     run_with_cut, ExecMode, PauseFlow, RunConfig, RunSession, SessionCheckpoint, SessionEnd,
@@ -108,8 +108,9 @@ fn run_with_cut_matches_a_straight_run() {
     let limits = RunLimits::default();
 
     let mut straight = Machine::new(&prog, 8, CycleBudget::PAPER).unwrap();
-    let straight_report =
-        straight.run_with_limits(&mut RandomFaults::new(0.2, 0.6, 11), limits).unwrap();
+    let spec = RunSpec { limits, ..RunSpec::default() };
+    let status = straight.run_with(&mut RandomFaults::new(0.2, 0.6, 11), spec).unwrap();
+    let straight_report = status.completed().unwrap();
 
     let outcome = run_with_cut(
         || Machine::new(&prog, 8, CycleBudget::PAPER),

@@ -16,7 +16,7 @@
 use rfsp_core::{AlgoV, AlgoX, Interleaved, XOptions};
 use rfsp_pram::{
     Adversary, LayoutBuilder, Machine, NoopObserver, Observer, PramError, Program, RunLimits,
-    RunReport, Word, WriteMode,
+    RunReport, RunSpec, Word, WriteMode,
 };
 
 use crate::program::SimProgram;
@@ -157,13 +157,15 @@ where
 
     // A small shim is needed because each engine is a different Program
     // type; macro-free dispatch via three arms.
+    let spec = RunSpec { limits, observer: Some(observer), ..RunSpec::default() };
     match engine {
         Engine::X => {
             let algo = XSim { inner: AlgoX::new(&mut layout, tasks, p, XOptions::default()) };
             let budget = algo.inner.required_budget();
             let mut machine = Machine::new(&algo, p, budget)?;
             machine.set_write_mode(mode);
-            let run = machine.run_observed(adversary, limits, observer)?;
+            let status = machine.run_with(adversary, spec)?;
+            let run = status.completed().expect("a run without a control hook completes");
             let memory = algo.inner.tasks().extract_memory(machine.memory());
             Ok(SimReport { run, memory, sim_processors, sim_steps })
         }
@@ -172,7 +174,8 @@ where
             let budget = algo.inner.required_budget();
             let mut machine = Machine::new(&algo, p, budget)?;
             machine.set_write_mode(mode);
-            let run = machine.run_observed(adversary, limits, observer)?;
+            let status = machine.run_with(adversary, spec)?;
+            let run = status.completed().expect("a run without a control hook completes");
             let memory = algo.inner.tasks().extract_memory(machine.memory());
             Ok(SimReport { run, memory, sim_processors, sim_steps })
         }
@@ -181,7 +184,8 @@ where
             let budget = algo.inner.required_budget();
             let mut machine = Machine::new(&algo, p, budget)?;
             machine.set_write_mode(mode);
-            let run = machine.run_observed(adversary, limits, observer)?;
+            let status = machine.run_with(adversary, spec)?;
+            let run = status.completed().expect("a run without a control hook completes");
             let memory = algo.inner.x_half().tasks().extract_memory(machine.memory());
             Ok(SimReport { run, memory, sim_processors, sim_steps })
         }

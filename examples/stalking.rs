@@ -11,7 +11,7 @@
 
 use rfsp::adversary::{Stalking, StalkingMode};
 use rfsp::core::{AccOptions, AlgoAcc, AlgoX, WriteAllTasks, XOptions};
-use rfsp::pram::{CycleBudget, LayoutBuilder, Machine, PramError, RunLimits};
+use rfsp::pram::{CycleBudget, LayoutBuilder, Machine, PramError, RunLimits, RunSpec, RunStatus};
 
 const N: usize = 32;
 const P: usize = 6;
@@ -23,12 +23,15 @@ fn stalk_x(mode: StalkingMode) -> String {
     let prog = AlgoX::new(&mut layout, tasks, P, XOptions::default());
     let mut adv = Stalking::new(tasks.x(), N - 1, mode);
     let mut m = Machine::new(&prog, P, CycleBudget::PAPER).expect("machine");
-    match m.run_with_limits(&mut adv, RunLimits { max_cycles: LIMIT }) {
-        Ok(r) => {
+    match m.run_with(
+        &mut adv,
+        RunSpec { limits: RunLimits { max_cycles: LIMIT }, ..RunSpec::default() },
+    ) {
+        Ok(RunStatus::Completed(r)) => {
             format!("S = {:>8}  |F| = {:>6}", r.stats.completed_work(), r.stats.pattern_size())
         }
         Err(PramError::CycleLimit { .. }) => format!("held hostage ≥ {LIMIT} cycles"),
-        Err(e) => panic!("unexpected error: {e}"),
+        other => panic!("unexpected outcome: {other:?}"),
     }
 }
 
@@ -38,12 +41,15 @@ fn stalk_acc(mode: StalkingMode, seed: u64) -> String {
     let prog = AlgoAcc::new(&mut layout, tasks, AccOptions { seed });
     let mut adv = Stalking::new(tasks.x(), N - 1, mode);
     let mut m = Machine::new(&prog, P, CycleBudget::PAPER).expect("machine");
-    match m.run_with_limits(&mut adv, RunLimits { max_cycles: LIMIT }) {
-        Ok(r) => {
+    match m.run_with(
+        &mut adv,
+        RunSpec { limits: RunLimits { max_cycles: LIMIT }, ..RunSpec::default() },
+    ) {
+        Ok(RunStatus::Completed(r)) => {
             format!("S = {:>8}  |F| = {:>6}", r.stats.completed_work(), r.stats.pattern_size())
         }
         Err(PramError::CycleLimit { .. }) => format!("held hostage ≥ {LIMIT} cycles"),
-        Err(e) => panic!("unexpected error: {e}"),
+        other => panic!("unexpected outcome: {other:?}"),
     }
 }
 

@@ -4,7 +4,9 @@
 
 use rfsp::adversary::RandomFaults;
 use rfsp::core::{AlgoV, AlgoX, WriteAllTasks, XOptions};
-use rfsp::pram::{CycleBudget, LayoutBuilder, Machine, RunLimits, ScheduledAdversary, WriteMode};
+use rfsp::pram::{
+    CycleBudget, ExecMode, LayoutBuilder, Machine, RunSpec, ScheduledAdversary, WriteMode,
+};
 
 /// The threaded execution backend is bit-identical to the sequential one,
 /// including under an adversarial schedule (replayed so both backends see
@@ -39,7 +41,8 @@ fn threaded_backend_matches_sequential_under_faults() {
         let prog = AlgoX::new(&mut layout, tasks, p, XOptions::default());
         let mut adv = ScheduledAdversary::new(pattern.clone());
         let mut m = Machine::new(&prog, p, CycleBudget::PAPER).unwrap();
-        let r = m.run_threaded(&mut adv, RunLimits::default(), threads).unwrap();
+        let spec = RunSpec { exec: ExecMode::Threads(threads), ..RunSpec::default() };
+        let r = m.run_with(&mut adv, spec).unwrap().completed().unwrap();
         assert_eq!(r.stats, seq_stats, "threads = {threads}");
         assert_eq!(m.memory().as_slice(), &seq_mem[..], "threads = {threads}");
     }
@@ -106,14 +109,15 @@ fn fail_points_inside_cycles_are_all_exercised() {
 /// run.
 #[test]
 fn trace_log_matches_work_stats() {
-    use rfsp::pram::{RunLimits, TraceEvent, TraceRecorder};
+    use rfsp::pram::{TraceEvent, TraceRecorder};
     let mut layout = LayoutBuilder::new();
     let tasks = WriteAllTasks::new(&mut layout, 100);
     let prog = AlgoX::new(&mut layout, tasks, 20, XOptions::default());
     let mut adv = RandomFaults::new(0.2, 0.6, 0xBEEF);
     let mut m = Machine::new(&prog, 20, CycleBudget::PAPER).unwrap();
     let mut rec = TraceRecorder::unbounded();
-    let report = m.run_observed(&mut adv, RunLimits::default(), &mut rec).unwrap();
+    let spec = RunSpec { observer: Some(&mut rec), ..RunSpec::default() };
+    let report = m.run_with(&mut adv, spec).unwrap().completed().unwrap();
 
     let (mut completions, mut interruptions, mut failures, mut restarts, mut commits) =
         (0, 0, 0, 0, 0);
@@ -173,24 +177,23 @@ fn threaded_backend_matches_for_v_and_interleaved() {
         let prog = AlgoV::new(&mut layout, tasks, p);
         let mut adv = ScheduledAdversary::new(pattern.clone());
         let mut m = Machine::new(&prog, p, CycleBudget::PAPER).unwrap();
-        m.run_threaded(&mut adv, RunLimits::default(), 4).unwrap().stats
+        let spec = RunSpec { exec: ExecMode::Threads(4), ..RunSpec::default() };
+        m.run_with(&mut adv, spec).unwrap().completed().unwrap().stats
     };
     assert_eq!(seq, par);
     // Interleaved.
     let (seq, par) = {
-        let run = |threads: Option<usize>| {
+        let run = |exec| {
             let mut layout = LayoutBuilder::new();
             let tasks = WriteAllTasks::new(&mut layout, n);
             let prog = Interleaved::new(&mut layout, tasks, p);
             let budget = prog.required_budget();
             let mut adv = RandomFaults::new(0.1, 0.7, 33);
             let mut m = Machine::new(&prog, p, budget).unwrap();
-            match threads {
-                None => m.run(&mut adv).unwrap().stats,
-                Some(t) => m.run_threaded(&mut adv, RunLimits::default(), t).unwrap().stats,
-            }
+            let spec = RunSpec { exec, ..RunSpec::default() };
+            m.run_with(&mut adv, spec).unwrap().completed().unwrap().stats
         };
-        (run(None), run(Some(3)))
+        (run(ExecMode::Sequential), run(ExecMode::Threads(3)))
     };
     assert_eq!(seq, par);
 }
@@ -213,7 +216,7 @@ fn threaded_event_stream_is_byte_identical_to_sequential() {
         m.run(&mut adv).unwrap().pattern
     };
     assert!(!pattern.is_empty(), "the adversary must actually interfere");
-    let capture = |threads: Option<usize>| {
+    let capture = |exec| {
         let mut layout = LayoutBuilder::new();
         let tasks = WriteAllTasks::new(&mut layout, n);
         let prog = AlgoX::new(&mut layout, tasks, p, XOptions::default());
@@ -222,17 +225,13 @@ fn threaded_event_stream_is_byte_identical_to_sequential() {
         let mut rec = TraceRecorder::unbounded();
         let mut metrics = MetricsObserver::new(p);
         let mut tee = Tee(&mut rec, &mut metrics);
-        let report = match threads {
-            None => m.run_observed(&mut adv, RunLimits::default(), &mut tee).unwrap(),
-            Some(t) => {
-                m.run_threaded_observed(&mut adv, RunLimits::default(), t, &mut tee).unwrap()
-            }
-        };
+        let spec = RunSpec { exec, observer: Some(&mut tee), ..RunSpec::default() };
+        let report = m.run_with(&mut adv, spec).unwrap().completed().unwrap();
         (rec.to_jsonl(), metrics.finish(), report.stats)
     };
-    let (seq_jsonl, seq_series, seq_stats) = capture(None);
+    let (seq_jsonl, seq_series, seq_stats) = capture(ExecMode::Sequential);
     for threads in [1usize, 2, 5] {
-        let (par_jsonl, par_series, par_stats) = capture(Some(threads));
+        let (par_jsonl, par_series, par_stats) = capture(ExecMode::Threads(threads));
         assert_eq!(par_jsonl, seq_jsonl, "event stream diverged at {threads} threads");
         assert_eq!(par_series, seq_series, "metrics diverged at {threads} threads");
         assert_eq!(par_stats, seq_stats);

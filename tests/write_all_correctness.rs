@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use rfsp::adversary::RandomFaults;
 use rfsp::core::{AlgoV, AlgoW, AlgoX, AlgoXInPlace, Interleaved, WriteAllTasks, XOptions};
-use rfsp::pram::{CycleBudget, LayoutBuilder, Machine, RunLimits, RunReport};
+use rfsp::pram::{CycleBudget, LayoutBuilder, Machine, RunLimits, RunReport, RunSpec};
 
 #[derive(Clone, Copy, Debug)]
 enum Which {
@@ -22,11 +22,12 @@ fn run(which: Which, n: usize, p: usize, p_fail: f64, p_restart: f64, seed: u64)
     let tasks = WriteAllTasks::new(&mut layout, n);
     let mut adv = RandomFaults::new(p_fail, p_restart, seed);
     let limits = RunLimits { max_cycles: 5_000_000 };
+    let spec = || RunSpec { limits, ..RunSpec::default() };
     let report = match which {
         Which::X => {
             let prog = AlgoX::new(&mut layout, tasks, p, XOptions::default());
             let mut m = Machine::new(&prog, p, CycleBudget::PAPER).expect("machine");
-            let r = m.run_with_limits(&mut adv, limits).expect("X must terminate");
+            let r = m.run_with(&mut adv, spec()).expect("X must terminate").completed().unwrap();
             assert!(tasks.all_written(m.memory()), "X left unwritten cells");
             r
         }
@@ -38,28 +39,36 @@ fn run(which: Which, n: usize, p: usize, p_fail: f64, p_restart: f64, seed: u64)
                 XOptions { counting: true, spread_initial: true },
             );
             let mut m = Machine::new(&prog, p, CycleBudget::PAPER).expect("machine");
-            let r = m.run_with_limits(&mut adv, limits).expect("X-counting must terminate");
+            let r = m
+                .run_with(&mut adv, spec())
+                .expect("X-counting must terminate")
+                .completed()
+                .unwrap();
             assert!(tasks.all_written(m.memory()), "X-counting left unwritten cells");
             r
         }
         Which::XInPlace => {
             let prog = AlgoXInPlace::new(&mut layout, tasks, p);
             let mut m = Machine::new(&prog, p, CycleBudget::PAPER).expect("machine");
-            let r = m.run_with_limits(&mut adv, limits).expect("in-place X must terminate");
+            let r = m
+                .run_with(&mut adv, spec())
+                .expect("in-place X must terminate")
+                .completed()
+                .unwrap();
             assert!(tasks.all_written(m.memory()), "in-place X left unwritten cells");
             r
         }
         Which::V => {
             let prog = AlgoV::new(&mut layout, tasks, p);
             let mut m = Machine::new(&prog, p, CycleBudget::PAPER).expect("machine");
-            let r = m.run_with_limits(&mut adv, limits).expect("V must terminate");
+            let r = m.run_with(&mut adv, spec()).expect("V must terminate").completed().unwrap();
             assert!(tasks.all_written(m.memory()), "V left unwritten cells");
             r
         }
         Which::W => {
             let prog = AlgoW::new(&mut layout, tasks, p);
             let mut m = Machine::new(&prog, p, CycleBudget::PAPER).expect("machine");
-            let r = m.run_with_limits(&mut adv, limits).expect("W must terminate");
+            let r = m.run_with(&mut adv, spec()).expect("W must terminate").completed().unwrap();
             assert!(tasks.all_written(m.memory()), "W left unwritten cells");
             r
         }
@@ -67,7 +76,7 @@ fn run(which: Which, n: usize, p: usize, p_fail: f64, p_restart: f64, seed: u64)
             let prog = Interleaved::new(&mut layout, tasks, p);
             let budget = prog.required_budget();
             let mut m = Machine::new(&prog, p, budget).expect("machine");
-            let r = m.run_with_limits(&mut adv, limits).expect("V+X must terminate");
+            let r = m.run_with(&mut adv, spec()).expect("V+X must terminate").completed().unwrap();
             assert!(tasks.all_written(m.memory()), "V+X left unwritten cells");
             r
         }
