@@ -34,12 +34,13 @@
 //! [`Core`] and are reused; index maintenance is O(committed writes)
 //! amortized per tick with in-place compaction. One run loop drives every
 //! engine; an engine (a private backend chosen from the [`RunSpec`]'s
-//! [`ExecMode`] and isolation) only decides how each phase is computed —
-//! the word machine's worker pool farms the tentative phase, the commit
-//! merge and the index rebuild out to real threads, the sequential engines
-//! play every phase inline — so the event stream and all accounting are
-//! byte-identical across engines *by construction* (pinned by
-//! `tests/golden_equivalence.rs`).
+//! [`ExecMode`] and isolation) only decides how the tentative phase is
+//! computed — the word machine's worker pool farms it out to real threads,
+//! the sequential engines play it inline. Everything after the tentative
+//! phase (adversary, commit, charging, index maintenance) is one
+//! sequential code path for every engine, so the event stream and all
+//! accounting are byte-identical across engines *by construction* (pinned
+//! by `tests/golden_equivalence.rs`).
 
 use serde::{Deserialize, Serialize};
 
@@ -50,16 +51,11 @@ use crate::adversary::{
 use crate::checkpoint::{
     put_state_frame, Checkpoint, FrameHeader, ProcCheckpoint, CHECKPOINT_VERSION,
 };
-use crate::commit::{CommitEntry, CommitScratch, SlotWinner};
-use crate::cycle::MAX_WRITES;
 use crate::decisions::{resolve, CycleFate};
 use crate::error::PramError;
 use crate::failure::{FailureEvent, FailureKind, FailurePattern};
 use crate::memory::{MemoryLayout, SharedMemory};
 use crate::mode::WriteMode;
-use crate::pool::{
-    SendPtr, TickPool, CLASS_COMMIT_MERGE, CLASS_COMMIT_SCAN, CLASS_COMMIT_STORE, CLASS_REBUILD,
-};
 use crate::trace::{NoopObserver, Observer, TraceEvent};
 use crate::unvisited::UnvisitedIndex;
 use crate::word::{Pid, Word};
@@ -263,41 +259,22 @@ pub trait ExecutionModel {
     fn checkpoint_budget(&self) -> (usize, usize);
 }
 
-/// The three per-tick hooks a run backend supplies to [`Core::run_loop`]:
-/// how the completion tracker is primed at run entry, how the tentative
-/// phase executes, and how the tick's decisions are applied. The defaults
-/// are the sequential reference paths; the word machine's pooled backends
-/// (see `crate::machine`) override them with the worker-pool phases. Every
-/// override must be observationally identical to the default — event
-/// streams, stats, memory, and the index are pinned byte-identical by the
-/// golden and differential tests.
+/// How a run backend executes the tentative phase — the one phase an
+/// engine may run differently. [`Core::run_loop`] primes the completion
+/// tracker and applies every tick's decisions itself, through the
+/// sequential reference paths, so backends differ only here.
+/// [`SeqBackend`] plays [`ExecutionModel::tentative`]; the word machine's
+/// pooled backend (see `crate::machine`) farms the phase out to worker
+/// threads. Every backend must be observationally identical to the
+/// sequential one — event streams, stats, memory, and the index are pinned
+/// byte-identical by the golden and differential tests.
 pub(crate) trait Backend<M: ExecutionModel> {
-    /// Prime the completion tracker at run entry.
-    fn prime(&mut self, model: &M, core: &mut Core<M::Private>) {
-        core.init_tracker(model);
-    }
-
     /// Phase 1: fill `core.tentative[i]` for every alive processor.
     ///
     /// # Errors
     ///
     /// See [`PramError`] — typically budget or bounds violations.
     fn tentative(&mut self, model: &M, core: &mut Core<M::Private>) -> Result<()>;
-
-    /// Phases 2b/3: validate decisions, commit, charge.
-    ///
-    /// # Errors
-    ///
-    /// See [`PramError`].
-    fn apply(
-        &mut self,
-        model: &M,
-        core: &mut Core<M::Private>,
-        decisions: Decisions,
-        observer: &mut dyn Observer,
-    ) -> Result<()> {
-        core.apply(model, decisions, observer)
-    }
 }
 
 /// The sequential backend: every phase plays inline through the reference
@@ -353,10 +330,6 @@ pub struct Core<Pv> {
     pub(crate) fail_points: Vec<Option<FailPoint>>,
     pub(crate) restarted: Vec<bool>,
     pub(crate) events: Vec<FailureEvent>,
-    /// Per-worker buffers of the parallel commit (see [`crate::commit`]);
-    /// reused across ticks so the pooled apply stays allocation-free in
-    /// steady state.
-    pub(crate) commit: CommitScratch,
 }
 
 /// Default lane width of the batched tentative-phase kernels: one `u64`
@@ -367,10 +340,22 @@ pub const DEFAULT_BATCH_WIDTH: usize = crate::unvisited::LANE_WIDTH;
 /// combinations cannot serialize a run into one chunk.
 const MAX_CHUNK_ALIGN: usize = 1 << 16;
 
-/// Smallest address space worth sharding the index rebuild over the pool:
-/// below this the sequential rebuild finishes before the workers would wake
-/// up. Tests force the sharded path regardless via `RFSP_POOL_INLINE_NS=0`.
-const SHARDED_REBUILD_MIN: usize = 1 << 20;
+/// Refuse a shared memory larger than the completion index can address
+/// ([`UnvisitedIndex`] stores addresses as `u32`). The machine
+/// constructors call this before allocating the memory.
+///
+/// # Errors
+///
+/// [`PramError::InvalidConfig`] if `size` exceeds `u32::MAX`.
+pub(crate) fn check_shared_size(size: usize) -> Result<()> {
+    let max = crate::unvisited::MAX_INDEXED_CELLS;
+    if size > max {
+        return Err(PramError::InvalidConfig {
+            detail: format!("shared memory of {size} cells exceeds the {max}-cell limit"),
+        });
+    }
+    Ok(())
+}
 
 fn gcd(a: usize, b: usize) -> usize {
     let (mut a, mut b) = (a, b);
@@ -427,7 +412,6 @@ impl<Pv: Clone + Send> Core<Pv> {
             fail_points: vec![None; processors],
             restarted: vec![false; processors],
             events: Vec::new(),
-            commit: CommitScratch::default(),
         };
         core.init_tracker(model);
         core
@@ -437,7 +421,7 @@ impl<Pv: Clone + Send> Core<Pv> {
     /// and prime the unvisited index. The model is *tracked* iff it reports
     /// at least one tracked cell; untracked models keep the full-scan
     /// completion check and get no index.
-    pub(crate) fn init_tracker<M: ExecutionModel<Private = Pv>>(&mut self, model: &M) {
+    fn init_tracker<M: ExecutionModel<Private = Pv>>(&mut self, model: &M) {
         let mem = &self.mem;
         // Both paths walk the memory in bank-aligned chunks: each chunk is
         // one contiguous slice of its bank, so a banked layout is
@@ -580,7 +564,7 @@ impl<Pv: Clone + Send> Core<Pv> {
     }
 
     /// The single run loop behind every run entry point of both machines.
-    /// Backends differ only in the [`Backend`] hooks they pass in, so the
+    /// Backends differ only in how they run the tentative phase, so the
     /// event stream and all accounting are shared by construction. The
     /// `control` hook runs at the tick boundary — after the completion and
     /// cycle-limit checks, before the tick's `TickStart` event — so pausing
@@ -616,7 +600,7 @@ impl<Pv: Clone + Send> Core<Pv> {
             Some(control) => control,
             None => &mut continue_always,
         };
-        backend.prime(model, self);
+        self.init_tracker(model);
         loop {
             if self.completion_reached(model) {
                 observer.event(TraceEvent::Completed { cycle: self.cycle });
@@ -631,7 +615,7 @@ impl<Pv: Clone + Send> Core<Pv> {
             observer.event(TraceEvent::TickStart { cycle: self.cycle });
             backend.tentative(model, self)?;
             let decisions = self.collect_decisions::<M, A>(adversary);
-            backend.apply(model, self, decisions, observer)?;
+            self.apply(model, decisions, observer)?;
         }
     }
 
@@ -639,7 +623,7 @@ impl<Pv: Clone + Send> Core<Pv> {
     /// [`crate::decisions`] logic), merge surviving write prefixes slot by
     /// slot, charge work, fold commits into the completion tracker, record
     /// the failure pattern, apply restarts.
-    pub(crate) fn apply<M>(
+    fn apply<M>(
         &mut self,
         model: &M,
         decisions: Decisions,
@@ -881,472 +865,6 @@ impl<Pv: Clone + Send> Core<Pv> {
             observer.event(TraceEvent::Commit { cycle: self.cycle, addr, value: chosen.1 });
             i = j;
         }
-        Ok(())
-    }
-
-    /// [`Core::apply`] with the commit merge farmed out to the worker pool.
-    ///
-    /// Observationally identical to the sequential apply on every
-    /// successful tick: same memory image, same `Commit` event stream (the
-    /// deterministic rank-ordered merge reproduces the slot-major,
-    /// address-ascending order), same stats and bank counters, same index
-    /// membership. On a CRCW conflict it reports the same error the
-    /// sequential scan would hit first; the machine state after an error is
-    /// unspecified under both backends (the sequential engine stops
-    /// mid-commit, this one withholds the whole tick's stores except those
-    /// of already-finished partitions — see DESIGN.md §15).
-    ///
-    /// # Errors
-    ///
-    /// See [`PramError`].
-    pub(crate) fn apply_pooled<M>(
-        &mut self,
-        model: &M,
-        decisions: Decisions,
-        observer: &mut dyn Observer,
-        pool: &TickPool,
-    ) -> Result<()>
-    where
-        M: ExecutionModel<Private = Pv> + Sync,
-    {
-        // On a host that cannot run workers concurrently the bucket/merge
-        // dance is pure overhead — fall back to the serial commit unless
-        // the tests force the parallel path.
-        if !pool.force_parallel() && !pool.multicore() {
-            return self.apply(model, decisions, observer);
-        }
-        let max_slots = self.resolve_and_prepass(decisions)?;
-        if max_slots > 0 {
-            self.commit_pooled(model, max_slots, observer, pool)?;
-        }
-        self.charge_and_finish(model, observer);
-        Ok(())
-    }
-
-    /// The parallel commit (see `crate::commit` for the buffer layout):
-    ///
-    /// 1. **Scan** — worker groups bucket the surviving writes of disjoint
-    ///    PID ranges by destination address partition.
-    /// 2. **Merge** — each address partition sorts its bucket rows by
-    ///    `(slot, addr, pid)` and resolves CRCW winners per `(slot, addr)`
-    ///    group, recording per-bank write deltas; conflicts are recorded,
-    ///    not applied.
-    /// 3. **Store** — each partition k-way-merges its per-slot winner lists
-    ///    by address, folds the completion-hint chain, and writes the final
-    ///    value per address through raw bank pointers. Runs only if no
-    ///    partition recorded a conflict.
-    ///
-    /// The coordinator then merges the accounting deltas, replays the
-    /// `Commit` events in slot-major rank order (partitions are contiguous
-    /// ascending address ranges, so this is exactly the sequential order),
-    /// and applies the net index operations.
-    fn commit_pooled<M>(
-        &mut self,
-        model: &M,
-        max_slots: usize,
-        observer: &mut dyn Observer,
-        pool: &TickPool,
-    ) -> Result<()>
-    where
-        M: ExecutionModel<Private = Pv> + Sync,
-    {
-        let groups = pool.threads();
-        let parts = pool.threads();
-        let p = self.procs.len();
-        let gsize = p.div_ceil(groups).max(1);
-        let size = self.mem.size();
-        // ceil(size/parts) guarantees addr / part_size < parts for every
-        // in-bounds address.
-        let part_size = size.div_ceil(parts).max(1);
-        let stride = self.write_slots.max(1);
-        debug_assert!(max_slots <= MAX_WRITES, "write budget exceeds the merge's head array");
-        let bank_count = self.mem.bank_count();
-        let layout = self.mem.layout();
-        let cycle = self.cycle;
-        let mode = self.mode;
-        let tracked = self.tracked;
-        self.commit.prepare(groups, parts, stride, bank_count);
-        self.mem.bank_cell_ptrs(&mut self.commit.bank_ptrs);
-
-        // --- Phase 1: scan. Group g owns PIDs [g*gsize, (g+1)*gsize) and
-        // bucket rows [g*parts, (g+1)*parts) — disjoint per group.
-        {
-            let tentative = &self.tentative;
-            let surviving = &self.surviving;
-            let buckets_ptr = SendPtr::new(self.commit.buckets.as_mut_ptr());
-            let errs_ptr = SendPtr::new(self.commit.errs.as_mut_ptr());
-            let scan = move |g0: usize, g1: usize| -> Result<()> {
-                for g in g0..g1 {
-                    // SAFETY: rows [g*parts, (g+1)*parts) and errs[g] are
-                    // owned exclusively by group g this epoch.
-                    let rows = unsafe {
-                        std::slice::from_raw_parts_mut(buckets_ptr.ptr().add(g * parts), parts)
-                    };
-                    let err = unsafe { &mut *errs_ptr.ptr().add(g) };
-                    *err = None;
-                    for row in rows.iter_mut() {
-                        row.clear();
-                    }
-                    for i in (g * gsize).min(p)..((g + 1) * gsize).min(p) {
-                        let n = surviving[i] as usize;
-                        if n == 0 {
-                            continue;
-                        }
-                        let t = tentative[i].as_ref().expect("surviving cycle exists");
-                        for (s, &(addr, value)) in t.writes.writes()[..n].iter().enumerate() {
-                            if addr >= size {
-                                // Defensive: the tentative phase bounds-
-                                // checks writes, but an out-of-bounds store
-                                // must error like the sequential commit,
-                                // not corrupt a bucket row. Keep the
-                                // group's minimum-(slot, addr) offender.
-                                let key = (s as u32, addr);
-                                if err.as_ref().is_none_or(|&(es, ea, _)| key < (es, ea)) {
-                                    *err = Some((
-                                        key.0,
-                                        key.1,
-                                        PramError::AddressOutOfBounds { addr, size },
-                                    ));
-                                }
-                                continue;
-                            }
-                            rows[addr / part_size].push(CommitEntry {
-                                slot: s as u32,
-                                addr,
-                                pid: i as u32,
-                                value,
-                            });
-                        }
-                    }
-                }
-                Ok(())
-            };
-            pool.run_tick(CLASS_COMMIT_SCAN, groups, 1, &scan)?;
-        }
-        if let Some(err) = self.commit.take_min_err() {
-            return Err(err);
-        }
-
-        // --- Phase 2: merge. Partition w owns the address range
-        // [w*part_size, (w+1)*part_size) and its own sorted/winners/deltas
-        // rows.
-        {
-            let buckets = &self.commit.buckets;
-            let sorted_ptr = SendPtr::new(self.commit.sorted.as_mut_ptr());
-            let winners_ptr = SendPtr::new(self.commit.winners.as_mut_ptr());
-            let deltas_ptr = SendPtr::new(self.commit.bank_deltas.as_mut_ptr());
-            let errs_ptr = SendPtr::new(self.commit.errs.as_mut_ptr());
-            let merge = move |w0: usize, w1: usize| -> Result<()> {
-                for w in w0..w1 {
-                    // SAFETY: sorted[w], winners[w*stride..], bank_deltas[w]
-                    // and errs[w] are owned exclusively by partition w.
-                    let sorted = unsafe { &mut *sorted_ptr.ptr().add(w) };
-                    let winners = unsafe {
-                        std::slice::from_raw_parts_mut(winners_ptr.ptr().add(w * stride), stride)
-                    };
-                    let deltas = unsafe { &mut *deltas_ptr.ptr().add(w) };
-                    let err = unsafe { &mut *errs_ptr.ptr().add(w) };
-                    *err = None;
-                    sorted.clear();
-                    for g in 0..groups {
-                        sorted.extend_from_slice(&buckets[g * parts + w]);
-                    }
-                    // (slot, addr, pid) keys are unique, so the unstable
-                    // sort is deterministic; within a (slot, addr) group the
-                    // lowest PID comes first, exactly like the sequential
-                    // per-slot sort.
-                    sorted.sort_unstable_by_key(|e| (e.slot, e.addr, e.pid));
-                    for row in winners[..max_slots].iter_mut() {
-                        row.clear();
-                    }
-                    deltas.clear();
-                    deltas.resize(bank_count, 0);
-                    let mut i = 0;
-                    'scan: while i < sorted.len() {
-                        let e = sorted[i];
-                        let mut j = i + 1;
-                        while j < sorted.len()
-                            && sorted[j].slot == e.slot
-                            && sorted[j].addr == e.addr
-                        {
-                            let e2 = sorted[j];
-                            match mode {
-                                WriteMode::Common => {
-                                    if e2.value != e.value {
-                                        *err = Some((
-                                            e.slot,
-                                            e.addr,
-                                            PramError::CommonWriteConflict {
-                                                addr: e.addr,
-                                                cycle,
-                                                first: (Pid(e.pid as usize), e.value),
-                                                second: (Pid(e2.pid as usize), e2.value),
-                                            },
-                                        ));
-                                        break 'scan;
-                                    }
-                                }
-                                WriteMode::Arbitrary | WriteMode::Priority => {
-                                    // Lowest PID (the group head) wins.
-                                }
-                                WriteMode::Exclusive => {
-                                    *err = Some((
-                                        e.slot,
-                                        e.addr,
-                                        PramError::ExclusiveWriteConflict { addr: e.addr, cycle },
-                                    ));
-                                    break 'scan;
-                                }
-                            }
-                            j += 1;
-                        }
-                        winners[e.slot as usize].push(SlotWinner { addr: e.addr, value: e.value });
-                        deltas[layout.bank_of(e.addr)] += 1;
-                        i = j;
-                    }
-                }
-                Ok(())
-            };
-            pool.run_tick(CLASS_COMMIT_MERGE, parts, 1, &merge)?;
-        }
-        if let Some(err) = self.commit.take_min_err() {
-            // The scan runs in (slot, addr) order and stops at its first
-            // conflict, so the minimum across partitions is exactly the
-            // error the sequential slot loop would return. No stores, no
-            // events, no accounting are applied for the failed tick.
-            return Err(err);
-        }
-
-        // --- Phase 3: store. Partition w writes only addresses inside its
-        // range; `locate` maps disjoint addresses to disjoint (bank, cell)
-        // slots, so the raw-pointer stores never race.
-        {
-            let winners = &self.commit.winners;
-            let bank_ptrs = &self.commit.bank_ptrs;
-            let ops_ptr = SendPtr::new(self.commit.index_ops.as_mut_ptr());
-            let store = move |w0: usize, w1: usize| -> Result<()> {
-                for w in w0..w1 {
-                    // SAFETY: index_ops[w] is owned exclusively by
-                    // partition w.
-                    let ops = unsafe { &mut *ops_ptr.ptr().add(w) };
-                    ops.clear();
-                    let rows = &winners[w * stride..w * stride + max_slots];
-                    let mut heads = [0usize; MAX_WRITES];
-                    loop {
-                        // Next address in the k-way merge of the per-slot
-                        // winner lists (each is address-ascending).
-                        let mut next: Option<usize> = None;
-                        for (s, row) in rows.iter().enumerate() {
-                            if let Some(wn) = row.get(heads[s]) {
-                                next = Some(next.map_or(wn.addr, |a: usize| a.min(wn.addr)));
-                            }
-                        }
-                        let Some(addr) = next else { break };
-                        let (bank, off) = layout.locate(addr);
-                        // SAFETY: addr is in partition w's range; see above.
-                        let cell = unsafe { bank_ptrs[bank].ptr().add(off) };
-                        let initial = unsafe { *cell };
-                        // Fold the slot chain exactly like the sequential
-                        // engine: each store's "old" value is the previous
-                        // slot's winner. Successive index operations for
-                        // one address strictly alternate remove/insert, so
-                        // membership after the chain equals membership
-                        // after the *last* operation alone — and insert/
-                        // remove are idempotent on membership, so the
-                        // coordinator applies just that one.
-                        let mut cur =
-                            if tracked { Some(model.completion_hint(addr, initial)) } else { None };
-                        let mut value = initial;
-                        let mut net: Option<bool> = None;
-                        for (s, row) in rows.iter().enumerate() {
-                            if let Some(wn) = row.get(heads[s]) {
-                                if wn.addr == addr {
-                                    heads[s] += 1;
-                                    value = wn.value;
-                                    if let Some(old) = cur {
-                                        let new = model.completion_hint(addr, wn.value);
-                                        match (old, new) {
-                                            (
-                                                CompletionHint::Outstanding,
-                                                CompletionHint::Satisfied,
-                                            ) => net = Some(false),
-                                            (
-                                                CompletionHint::Satisfied,
-                                                CompletionHint::Outstanding,
-                                            ) => net = Some(true),
-                                            _ => {}
-                                        }
-                                        cur = Some(new);
-                                    }
-                                }
-                            }
-                        }
-                        // SAFETY: as above — exclusive by address partition.
-                        unsafe { *cell = value };
-                        if let Some(insert) = net {
-                            ops.push((addr, insert));
-                        }
-                    }
-                }
-                Ok(())
-            };
-            pool.run_tick(CLASS_COMMIT_STORE, parts, 1, &store)?;
-        }
-
-        // --- Deterministic rank-ordered merge on the coordinator. ---
-        for w in 0..parts {
-            let deltas = std::mem::take(&mut self.commit.bank_deltas[w]);
-            self.mem.add_bank_writes(&deltas);
-            self.commit.bank_deltas[w] = deltas;
-        }
-        // Slot-major, then partitions in rank order: partitions are
-        // contiguous ascending address ranges and each winner row is
-        // address-ascending, so this replays the sequential engine's
-        // slot-major address-ascending Commit stream byte for byte.
-        for s in 0..max_slots {
-            for w in 0..parts {
-                for wn in &self.commit.winners[w * stride + s] {
-                    observer.event(TraceEvent::Commit { cycle, addr: wn.addr, value: wn.value });
-                }
-            }
-        }
-        if tracked {
-            let commit = &self.commit;
-            let unvisited = &mut self.unvisited;
-            for w in 0..parts {
-                for &(addr, insert) in &commit.index_ops[w] {
-                    if insert {
-                        unvisited.insert(addr);
-                    } else {
-                        unvisited.remove(addr);
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// [`Core::init_tracker`] with the rebuild sharded across the pool when
-    /// the address space is large enough to pay for it (always, when the
-    /// tests force the parallel path). Falls back to the sequential rebuild
-    /// if a worker panics mid-fill (the classifier is model code).
-    pub(crate) fn init_tracker_pooled<M>(&mut self, model: &M, pool: &TickPool)
-    where
-        M: ExecutionModel<Private = Pv> + Sync,
-    {
-        let sharded = self.batch_width > 1
-            && (pool.force_parallel()
-                || (pool.multicore() && self.mem.size() >= SHARDED_REBUILD_MIN));
-        if !sharded || self.try_sharded_rebuild(model, pool).is_err() {
-            self.init_tracker(model);
-        }
-    }
-
-    /// The sharded rebuild: count outstanding cells per chunk-aligned
-    /// address partition, prefix-sum the counts into dense-items offsets in
-    /// rank order, then let each partition fill its own disjoint slice of
-    /// the index's dense form directly. The rank-ordered stitch is implicit
-    /// in the offsets: concatenating the partitions is exactly the
-    /// ascending dense form a sequential rebuild produces.
-    fn try_sharded_rebuild<M>(&mut self, model: &M, pool: &TickPool) -> Result<()>
-    where
-        M: ExecutionModel<Private = Pv> + Sync,
-    {
-        let parts = pool.threads();
-        let size = self.mem.size();
-        let align = self.chunk_align();
-        let part = size.div_ceil(parts).max(1).next_multiple_of(align);
-        let bounds = |w: usize| ((w * part).min(size), ((w + 1) * part).min(size));
-
-        // --- Pass 1: count outstanding cells and OR tracked bits per
-        // partition.
-        let mut counts: Vec<(usize, bool)> = vec![(0, false); parts];
-        {
-            let mem = &self.mem;
-            let counts_ptr = SendPtr::new(counts.as_mut_ptr());
-            let count = move |w0: usize, w1: usize| -> Result<()> {
-                for w in w0..w1 {
-                    let (lo, hi) = bounds(w);
-                    let mut outstanding_total = 0usize;
-                    let mut tracked_bits = 0u64;
-                    for (chunk_base, cells) in mem.chunks_in(lo, hi) {
-                        let mut base = chunk_base;
-                        for lane in cells.chunks(crate::unvisited::LANE_WIDTH) {
-                            let (outstanding, tracked) = model.completion_masks(base, lane);
-                            #[cfg(debug_assertions)]
-                            {
-                                let expected =
-                                    crate::fold_completion_masks(base, lane, |addr, value| {
-                                        model.completion_hint(addr, value)
-                                    });
-                                assert_eq!(
-                                    (outstanding, tracked),
-                                    expected,
-                                    "completion_masks disagrees with completion_hint at {base}",
-                                );
-                            }
-                            outstanding_total += outstanding.count_ones() as usize;
-                            tracked_bits |= tracked;
-                            base += lane.len();
-                        }
-                    }
-                    // SAFETY: counts[w] is owned exclusively by partition w;
-                    // the pool barrier publishes the writes.
-                    unsafe { *counts_ptr.ptr().add(w) = (outstanding_total, tracked_bits != 0) };
-                }
-                Ok(())
-            };
-            pool.run_tick(CLASS_REBUILD, parts, 1, &count)?;
-        }
-        let mut offsets = Vec::with_capacity(parts);
-        let mut total = 0usize;
-        for &(n, _) in &counts {
-            offsets.push(total);
-            total += n;
-        }
-
-        // --- Pass 2: raw fill. Partition w owns pos[lo..hi] and items
-        // slots [offsets[w], offsets[w] + counts[w]).
-        let raw = self.unvisited.begin_sharded_rebuild(size, total);
-        {
-            let mem = &self.mem;
-            let offsets = &offsets;
-            let counts = &counts;
-            let fill = move |w0: usize, w1: usize| -> Result<()> {
-                for w in w0..w1 {
-                    let (lo, hi) = bounds(w);
-                    // SAFETY: disjoint per-partition ranges, in bounds.
-                    unsafe { raw.clear_pos(lo, hi) };
-                    let mut slot = offsets[w];
-                    for (chunk_base, cells) in mem.chunks_in(lo, hi) {
-                        let mut base = chunk_base;
-                        for lane in cells.chunks(crate::unvisited::LANE_WIDTH) {
-                            let (mut mask, _) = model.completion_masks(base, lane);
-                            // Ascending set bits keep the partition's slice
-                            // of the dense form address-ordered.
-                            while mask != 0 {
-                                let j = mask.trailing_zeros() as usize;
-                                mask &= mask - 1;
-                                // SAFETY: slot stays inside the partition's
-                                // items range (pass 1 counted these bits).
-                                unsafe { raw.set(slot, base + j) };
-                                slot += 1;
-                            }
-                            base += lane.len();
-                        }
-                    }
-                    let _counted = counts[w].0;
-                    debug_assert_eq!(slot - offsets[w], _counted);
-                }
-                Ok(())
-            };
-            pool.run_tick(CLASS_REBUILD, parts, 1, &fill)?;
-        }
-        // SAFETY: every pos cell in [0, size) and items slot in [0, total)
-        // was written by exactly one partition; the pool barrier
-        // synchronized the writes.
-        unsafe { self.unvisited.finish_sharded_rebuild(size, total) };
-        self.tracked = counts.iter().any(|&(_, t)| t);
         Ok(())
     }
 }

@@ -60,7 +60,6 @@
 pub mod accounting;
 pub mod adversary;
 pub mod checkpoint;
-mod commit;
 pub mod cycle;
 mod decisions;
 pub mod error;

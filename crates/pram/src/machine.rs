@@ -22,12 +22,12 @@
 //! with the snapshot machine. This module contributes the *word model*:
 //! the charged read phase with its plan chain, the [`CycleBudget`]
 //! enforcement, and the engines [`Machine::run_with`] chooses between.
-//! The pooled engine farms the **whole tick** out to a persistent
-//! pool of workers: the tentative phase, the three-pass parallel
-//! commit (`Core::apply_pooled`) and the sharded completion-index rebuild
-//! (`Core::init_tracker_pooled`) all run on the same pool, with
-//! rank-ordered merges keeping every observable byte identical to the
-//! sequential engine.
+//! The pooled engine farms exactly one phase out to a persistent pool of
+//! workers: the tentative phase, where every alive processor plans and
+//! computes its cycle independently. The commit, the charging and the
+//! completion-index maintenance run on the coordinator through the same
+//! sequential code every engine uses, so every observable byte is
+//! identical to the sequential engine by construction.
 //!
 //! The engine remains built so a **steady-state tick performs no heap
 //! allocation and no thread spawn**: all per-tick buffers live in the core
@@ -42,15 +42,14 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use serde::{Deserialize, Serialize};
 
 use crate::accounting::RunReport;
-use crate::adversary::{Adversary, Decisions, ProcStatus, TentativeCycle};
+use crate::adversary::{Adversary, ProcStatus, TentativeCycle};
 use crate::checkpoint::Checkpoint;
 use crate::cycle::{CycleBudget, ReadSet, Step, MAX_READS, MAX_WRITES};
 use crate::error::{BudgetKind, PramError};
-use crate::exec::{Backend, Core, ExecutionModel, SeqBackend};
+use crate::exec::{check_shared_size, Backend, Core, ExecutionModel, SeqBackend};
 use crate::memory::{MemoryLayout, SharedMemory};
 use crate::mode::WriteMode;
-use crate::pool::{panic_detail, SendPtr, TickPool, CLASS_TENTATIVE};
-use crate::trace::Observer;
+use crate::pool::{panic_detail, SendPtr, TickPool};
 use crate::word::{Pid, Word};
 use crate::{CompletionHint, Program, Result};
 
@@ -121,9 +120,10 @@ impl<'p, P: Program> Machine<'p, P> {
     ///
     /// # Errors
     ///
-    /// [`PramError::InvalidConfig`] if `processors == 0` or `budget` does
-    /// not fit the inline cycle buffers
-    /// ([`CycleBudget::fits_inline`]).
+    /// [`PramError::InvalidConfig`] if `processors == 0`, if `budget` does
+    /// not fit the inline cycle buffers ([`CycleBudget::fits_inline`]), or
+    /// if [`Program::shared_size`] exceeds `u32::MAX` cells (checked before
+    /// any memory is allocated).
     pub fn new(program: &'p P, processors: usize, budget: CycleBudget) -> Result<Self> {
         Self::with_layout(program, processors, budget, MemoryLayout::Flat)
     }
@@ -156,6 +156,7 @@ impl<'p, P: Program> Machine<'p, P> {
                 ),
             });
         }
+        check_shared_size(program.shared_size())?;
         let mut mem = SharedMemory::with_layout(program.shared_size(), layout)?;
         program.init_memory(&mut mem);
         let model = WordModel { program, budget };
@@ -442,7 +443,7 @@ where
     let statuses: &[ProcStatus] = &core.procs.status;
     let states = SendPtr::new(core.procs.state.as_mut_ptr());
     let tentative = SendPtr::new(core.tentative.as_mut_ptr());
-    pool.run_tick(CLASS_TENTATIVE, p, align, &move |start: usize, end: usize| {
+    pool.run_tick(p, align, &move |start: usize, end: usize| {
         #[allow(clippy::needless_range_loop)] // `i` also offsets the raw SoA pointers
         for i in start..end {
             // SAFETY: the pool's cursor hands out disjoint [start, end)
@@ -463,41 +464,9 @@ where
     })
 }
 
-/// The fully pooled word backend: tentative phase, three-pass parallel
-/// commit and sharded index rebuild all run on the same worker pool.
-/// Results are pinned byte-identical to [`SeqBackend`] by the golden and
-/// differential tests.
-struct PooledBackend<'a> {
-    pool: &'a TickPool,
-}
-
-impl<'p, P> Backend<WordModel<'p, P>> for PooledBackend<'_>
-where
-    P: Program + Sync,
-    P::Private: Send,
-{
-    fn prime(&mut self, model: &WordModel<'p, P>, core: &mut Core<P::Private>) {
-        core.init_tracker_pooled(model, self.pool);
-    }
-
-    fn tentative(&mut self, model: &WordModel<'p, P>, core: &mut Core<P::Private>) -> Result<()> {
-        tentative_pooled(model.program, model.budget, core, self.pool, false)
-    }
-
-    fn apply(
-        &mut self,
-        model: &WordModel<'p, P>,
-        core: &mut Core<P::Private>,
-        decisions: Decisions,
-        observer: &mut dyn Observer,
-    ) -> Result<()> {
-        core.apply_pooled(model, decisions, observer, self.pool)
-    }
-}
-
 /// The sequential panic-isolating backend: every processor's cycle runs
 /// under [`caught`]. Used for isolated sequential runs and as the degraded
-/// mode of [`IsolatedBackend`].
+/// mode of an isolated [`PooledBackend`].
 struct CaughtBackend;
 
 impl<'p, P: Program> Backend<WordModel<'p, P>> for CaughtBackend {
@@ -506,51 +475,51 @@ impl<'p, P: Program> Backend<WordModel<'p, P>> for CaughtBackend {
     }
 }
 
-/// The pooled backend with per-processor panic isolation: each tick backs
-/// up every private state before the pooled tentative phase, restores them
-/// if a worker catches a panic, and then either surfaces the error or
-/// degrades to the sequential caught engine for the rest of the run
-/// segment per the [`PanicPolicy`].
+/// The pooled word backend: the tentative phase runs on the worker pool;
+/// the commit and the index prime stay on the sequential path in
+/// [`Core::run_loop`]. Results are pinned byte-identical to [`SeqBackend`]
+/// by the golden and differential tests.
 ///
-/// Commit and rebuild deliberately keep the **sequential** defaults: the
-/// parallel commit stores through raw bank pointers and calls user
-/// completion hints, so a panic there could not be unwound to a clean tick
-/// boundary the way the tentative phase can.
-struct IsolatedBackend<'a, S> {
+/// With `isolation` set, each tick backs up every private state before
+/// the pooled phase, restores them if a worker catches a panic, and then
+/// either surfaces the error or degrades to the sequential caught engine
+/// for the rest of the run segment per the [`PanicPolicy`]. Without
+/// isolation `backup` stays empty.
+struct PooledBackend<'a, S> {
     pool: &'a TickPool,
-    policy: PanicPolicy,
+    isolation: Option<PanicPolicy>,
     backup: Vec<Option<S>>,
     degraded: bool,
 }
 
-impl<'p, P> Backend<WordModel<'p, P>> for IsolatedBackend<'_, P::Private>
+impl<'p, P> Backend<WordModel<'p, P>> for PooledBackend<'_, P::Private>
 where
     P: Program + Sync,
     P::Private: Send,
 {
     fn tentative(&mut self, model: &WordModel<'p, P>, core: &mut Core<P::Private>) -> Result<()> {
+        let (program, budget) = (model.program, model.budget);
+        let Some(policy) = self.isolation else {
+            return tentative_pooled(program, budget, core, self.pool, false);
+        };
         if self.degraded {
-            return tentative_seq(model.program, model.budget, core, true);
+            return tentative_seq(program, budget, core, true);
         }
         // Snapshot every private state: the tentative phase advances
         // states in place, so recovering from a panic mid-phase needs the
         // pre-tick originals.
-        for (saved, state) in self.backup.iter_mut().zip(core.procs.state.iter()) {
-            saved.clone_from(state);
-        }
-        match tentative_pooled(model.program, model.budget, core, self.pool, true) {
+        self.backup.clone_from(&core.procs.state);
+        match tentative_pooled(program, budget, core, self.pool, true) {
             Err(PramError::WorkerPanic { pid, detail }) => {
-                for (state, saved) in core.procs.state.iter_mut().zip(self.backup.iter()) {
-                    state.clone_from(saved);
-                }
-                match self.policy {
+                core.procs.state.clone_from(&self.backup);
+                match policy {
                     PanicPolicy::Surface => Err(PramError::WorkerPanic { pid, detail }),
                     PanicPolicy::FallbackSequential => {
                         self.degraded = true;
                         // Replay the whole tick sequentially from the
                         // restored pre-tick states — nothing had committed,
                         // so the replay is identical to a clean tick.
-                        tentative_seq(model.program, model.budget, core, true)
+                        tentative_seq(program, budget, core, true)
                     }
                 }
             }
@@ -574,8 +543,11 @@ where
     /// |---|---|---|
     /// | `Sequential`, `Threads(1)` | `None` | sequential |
     /// | `Sequential`, `Threads(1)` | `Some` | sequential, each cycle under `catch_unwind` |
-    /// | `Threads(n ≥ 2)`, `Pool` | `None` | pooled: tentative phase, commit and index rebuild on the workers |
-    /// | `Threads(n ≥ 2)`, `Pool` | `Some` | pooled tentative phase under `catch_unwind`, sequential commit |
+    /// | `Threads(n ≥ 2)`, `Pool` | `None` | pooled: tentative phase on the workers |
+    /// | `Threads(n ≥ 2)`, `Pool` | `Some` | pooled: tentative phase on the workers, each cycle under `catch_unwind` |
+    ///
+    /// Every engine commits, charges and maintains the completion index
+    /// on the calling thread through the same sequential code.
     ///
     /// The pooled engines park their workers between ticks, so a
     /// steady-state tick spawns no thread. The isolated engines catch a
@@ -612,7 +584,7 @@ where
         };
         let _turn = shared.map(SharedPool::take_turn);
         let Machine { model, core } = self;
-        let (mut seq, mut seq_caught, mut pooled, mut pooled_caught);
+        let (mut seq, mut seq_caught, mut pooled);
         let backend: &mut dyn Backend<WordModel<'p, P>> = match (shared, isolation) {
             (None, None) => {
                 seq = SeqBackend;
@@ -622,18 +594,14 @@ where
                 seq_caught = CaughtBackend;
                 &mut seq_caught
             }
-            (Some(shared), None) => {
-                pooled = PooledBackend { pool: &shared.pool };
-                &mut pooled
-            }
-            (Some(shared), Some(policy)) => {
-                pooled_caught = IsolatedBackend {
+            (Some(shared), isolation) => {
+                pooled = PooledBackend {
                     pool: &shared.pool,
-                    policy,
-                    backup: vec![None; core.procs.len()],
+                    isolation,
+                    backup: Vec::new(),
                     degraded: false,
                 };
-                &mut pooled_caught
+                &mut pooled
             }
         };
         core.run_loop(model, adversary, limits, observer, control, backend)
@@ -1036,6 +1004,68 @@ mod tests {
         assert!(matches!(
             err,
             PramError::BudgetExceeded { kind: BudgetKind::Reads, used: 5, limit: 4, .. }
+        ));
+    }
+
+    /// Two write slots under COMMON: slot 0 writes each processor's own
+    /// cell, slot 1 writes conflicting values to the shared last cell.
+    struct SlotClash {
+        p: usize,
+    }
+
+    impl Program for SlotClash {
+        type Private = ();
+        fn shared_size(&self) -> usize {
+            self.p + 1
+        }
+        fn on_start(&self, _pid: Pid) {}
+        fn plan(&self, _pid: Pid, _st: &(), _vals: &[Word], _reads: &mut ReadSet) {}
+        fn execute(&self, pid: Pid, _st: &mut (), _v: &[Word], writes: &mut WriteSet) -> Step {
+            writes.push(pid.0, 1);
+            writes.push(self.p, pid.0 as Word + 1);
+            Step::Halt
+        }
+        fn is_complete(&self, mem: &SharedMemory) -> bool {
+            mem.peek(self.p) != 0
+        }
+    }
+
+    /// A CRCW conflict leaves the same error, memory image and write count
+    /// on every engine: the commit that detects it is the same sequential
+    /// code behind all of them.
+    #[test]
+    fn common_conflict_leaves_the_same_state_on_every_engine() {
+        let prog = SlotClash { p: 4 };
+        let specs = [
+            RunSpec::default(),
+            threads(2),
+            RunSpec { isolation: Some(PanicPolicy::Surface), ..threads(2) },
+        ];
+        let outcomes: Vec<_> = specs
+            .into_iter()
+            .map(|spec| {
+                let mut m = Machine::new(&prog, prog.p, CycleBudget::PAPER).unwrap();
+                let err = m.run_with(&mut NoFailures, spec).unwrap_err();
+                (err, m.memory().as_slice().to_vec(), m.memory().write_count())
+            })
+            .collect();
+        let (err, mem, writes) = &outcomes[0];
+        assert!(matches!(err, PramError::CommonWriteConflict { addr: 4, cycle: 0, .. }), "{err:?}");
+        assert_eq!(mem, &[1, 1, 1, 1, 0], "slot 0 committed before slot 1 conflicted");
+        assert_eq!(*writes, 4);
+        for other in &outcomes[1..] {
+            assert_eq!(other, &outcomes[0]);
+        }
+    }
+
+    /// A program whose memory the completion index cannot address is
+    /// refused before the memory is allocated.
+    #[test]
+    fn oversized_memory_is_refused_before_allocation() {
+        let prog = Counter { n: 1 << 32, target: 1 };
+        assert!(matches!(
+            Machine::new(&prog, 1, CycleBudget::PAPER),
+            Err(PramError::InvalidConfig { .. })
         ));
     }
 

@@ -89,11 +89,9 @@ impl MemoryLayout {
         }
     }
 
-    /// `(bank, slot-within-bank)` of `addr`. Callers check bounds. The
-    /// parallel commit kernels use the layout-level mapping to address raw
-    /// bank-cell pointers without borrowing the whole memory.
+    /// `(bank, slot-within-bank)` of `addr`. Callers check bounds.
     #[inline]
-    pub(crate) fn locate(&self, addr: usize) -> (usize, usize) {
+    fn locate(&self, addr: usize) -> (usize, usize) {
         match *self {
             MemoryLayout::Flat => (0, addr),
             MemoryLayout::Banked { banks, interleave } => {
@@ -339,41 +337,7 @@ impl SharedMemory {
     /// a contiguous slice of its bank. This is the allocation-free way to
     /// scan memory without paying the per-address bank mapping.
     pub fn chunks(&self) -> CellChunks<'_> {
-        CellChunks { mem: self, next_base: 0, end: self.size }
-    }
-
-    /// [`SharedMemory::chunks`] restricted to the address range
-    /// `[start, end)` — the sharded index rebuild hands each worker its own
-    /// partition of the address space this way. An arbitrary `start` may
-    /// fall mid-block on a banked layout; the first chunk is then the tail
-    /// of that block.
-    pub(crate) fn chunks_in(&self, start: usize, end: usize) -> CellChunks<'_> {
-        CellChunks { mem: self, next_base: start, end: end.min(self.size) }
-    }
-
-    /// Raw mutable pointers to each bank's cell storage, in bank order.
-    ///
-    /// The parallel commit writes winner values through these from worker
-    /// threads; each worker owns a disjoint address partition, and
-    /// [`MemoryLayout::locate`] maps disjoint addresses to disjoint
-    /// `(bank, slot)` cells, so the writes never race. The pointers are
-    /// only valid until the banks are next resized (they never are after
-    /// construction) and must not outlive the borrow this call creates —
-    /// callers re-fill the scratch vector every tick.
-    pub(crate) fn bank_cell_ptrs(&mut self, out: &mut Vec<crate::pool::SendPtr<Word>>) {
-        out.clear();
-        for bank in &mut self.banks {
-            out.push(crate::pool::SendPtr::new(bank.cells.as_mut_ptr()));
-        }
-    }
-
-    /// Merge per-bank committed-write deltas (from the parallel commit's
-    /// per-worker accounting buffers) into the charge counters.
-    pub(crate) fn add_bank_writes(&mut self, deltas: &[u64]) {
-        debug_assert_eq!(deltas.len(), self.banks.len());
-        for (bank, &d) in self.banks.iter_mut().zip(deltas) {
-            bank.writes += d;
-        }
+        CellChunks { mem: self, next_base: 0 }
     }
 
     /// Total charged reads so far, merged across banks.
@@ -416,7 +380,6 @@ fn bank_len(size: usize, banks: usize, interleave: usize, b: usize) -> usize {
 pub struct CellChunks<'a> {
     mem: &'a SharedMemory,
     next_base: usize,
-    end: usize,
 }
 
 impl<'a> Iterator for CellChunks<'a> {
@@ -424,17 +387,16 @@ impl<'a> Iterator for CellChunks<'a> {
 
     fn next(&mut self) -> Option<Self::Item> {
         let base = self.next_base;
-        if base >= self.end {
+        let rest = self.mem.size - base;
+        if rest == 0 {
             return None;
         }
         let (bank, slot) = self.mem.locate(base);
         let len = match self.mem.layout {
-            MemoryLayout::Flat => self.end - base,
-            // Stay inside `base`'s interleave block (an arbitrary range
-            // start may land mid-block) and inside the range.
-            MemoryLayout::Banked { interleave, .. } => {
-                (interleave - base % interleave).min(self.end - base)
-            }
+            MemoryLayout::Flat => rest,
+            // Chunks start on block boundaries: one whole block, or the
+            // memory's tail.
+            MemoryLayout::Banked { interleave, .. } => interleave.min(rest),
         };
         self.next_base = base + len;
         Some((base, &self.mem.banks[bank].cells[slot..slot + len]))
@@ -543,30 +505,6 @@ mod tests {
         }
         assert_eq!(next, 10);
         assert_eq!(seen, (0..10).collect::<Vec<Word>>());
-    }
-
-    /// Range-limited chunk iteration covers exactly `[start, end)` even
-    /// when the range starts or ends mid interleave block.
-    #[test]
-    fn chunks_in_covers_arbitrary_ranges() {
-        let layout = MemoryLayout::Banked { banks: 2, interleave: 3 };
-        let mut m = SharedMemory::with_layout(11, layout).unwrap();
-        for addr in 0..11 {
-            m.poke(addr, addr as Word);
-        }
-        for start in 0..=11 {
-            for end in start..=11 {
-                let mut next = start;
-                let mut seen = Vec::new();
-                for (base, cells) in m.chunks_in(start, end) {
-                    assert_eq!(base, next, "range [{start},{end})");
-                    next += cells.len();
-                    seen.extend_from_slice(cells);
-                }
-                assert_eq!(next, end, "range [{start},{end})");
-                assert_eq!(seen, (start..end).map(|a| a as Word).collect::<Vec<_>>());
-            }
-        }
     }
 
     /// Bank sizing handles a tail that doesn't fill a full round.

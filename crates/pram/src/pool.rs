@@ -14,9 +14,10 @@
 //! * the coordinator waits until every worker has drained the cursor, then
 //!   reclaims exclusive access to the machine.
 //!
-//! The pool runs several job *classes* per tick (tentative phase, commit
-//! scan, commit merge, commit store, index rebuild), so the handoff latency
-//! is paid several times per tick and has to be cheap:
+//! The pool runs one job per tick — the tentative phase; the commit and
+//! the index maintenance stay on the coordinator — so the handoff latency
+//! is paid once per tick and still has to be cheap next to a tick of tens
+//! of microseconds:
 //!
 //! * **spin-then-park barrier** — both sides spin on an atomic for a bounded
 //!   budget ([`RFSP_POOL_SPIN`]) before parking the OS thread, so the common
@@ -31,13 +32,13 @@
 //!   `len`/`chunk` and each worker's claim counter live on their own
 //!   128-byte lines so cursor traffic does not false-share with the epoch
 //!   line every worker spins on.
-//! * **adaptive inline degrade** — the pool keeps a per-class EWMA of
-//!   measured ns/item; when a class's predicted tick cost falls below
+//! * **adaptive inline degrade** — the pool keeps an EWMA of measured
+//!   ns/item; when a job's predicted cost falls below
 //!   [`RFSP_POOL_INLINE_NS`] (or the host has one logical core), the
 //!   coordinator runs the job inline instead of waking anyone. Small-N-per
 //!   thread runs therefore degrade to single-worker execution instead of
 //!   paying coordination for nothing. `RFSP_POOL_INLINE_NS=0` disables
-//!   inlining (the differential tests force the pooled paths this way).
+//!   inlining (the differential tests force the pooled path this way).
 //!
 //! A steady-state tick performs **no thread spawns and no heap
 //! allocations**; the error slot's mutex is only touched on the cold error
@@ -80,10 +81,10 @@ pub(crate) fn panic_detail(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// A raw pointer that may cross thread boundaries.
 ///
-/// The pooled kernels hand each worker a disjoint region of one allocation
-/// (processor states, commit buckets, index storage); the pool's barrier
-/// bounds every access, and disjointness is each call site's proof
-/// obligation — stated at the `unsafe` dereference, not here.
+/// The pooled tentative phase hands each worker a disjoint range of the
+/// processor states and tentative slots; the pool's barrier bounds every
+/// access, and disjointness is the call site's proof obligation — stated
+/// at the `unsafe` dereference, not here.
 pub(crate) struct SendPtr<T>(*mut T);
 
 impl<T> SendPtr<T> {
@@ -151,17 +152,6 @@ struct JobCell(UnsafeCell<Option<JobPtr>>);
 // `active` decrement.
 unsafe impl Send for JobCell {}
 unsafe impl Sync for JobCell {}
-
-/// Job classes with independent cost models for the adaptive inline
-/// decision: items of different classes differ by orders of magnitude
-/// (a tentative item is one processor's update cycle, a rebuild item is
-/// one memory cell), so they must not share an EWMA.
-pub(crate) const CLASS_TENTATIVE: usize = 0;
-pub(crate) const CLASS_COMMIT_SCAN: usize = 1;
-pub(crate) const CLASS_COMMIT_MERGE: usize = 2;
-pub(crate) const CLASS_COMMIT_STORE: usize = 3;
-pub(crate) const CLASS_REBUILD: usize = 4;
-const NUM_CLASSES: usize = 5;
 
 /// Tuning knobs for the pool's barrier and inline degrade, normally read
 /// from the environment (tests construct them directly via
@@ -246,9 +236,9 @@ pub(crate) struct TickPool {
     workers: Vec<CachePadded<WorkerSlot>>,
     threads: usize,
     tuning: PoolTuning,
-    /// Per-class EWMA of measured ns/item, stored as `f64` bits
-    /// (coordinator-only writes; 0 = no measurement yet).
-    ewma: [AtomicU64; NUM_CLASSES],
+    /// EWMA of measured ns/item, stored as `f64` bits (coordinator-only
+    /// writes; 0 = no measurement yet).
+    ewma: AtomicU64,
 }
 
 impl TickPool {
@@ -278,7 +268,7 @@ impl TickPool {
             workers: (0..threads).map(|_| CachePadded::new(WorkerSlot::default())).collect(),
             threads,
             tuning,
-            ewma: Default::default(),
+            ewma: AtomicU64::new(0),
         }
     }
 
@@ -298,47 +288,33 @@ impl TickPool {
         *self.coord_thread.lock().unwrap_or_else(PoisonError::into_inner) = std::thread::current();
     }
 
-    /// `true` when inlining is disabled (`RFSP_POOL_INLINE_NS=0`): callers
-    /// use the pooled variants of phases whose parallel form is only worth
-    /// selecting on real multi-core work, so the tests exercise them
-    /// everywhere.
-    pub(crate) fn force_parallel(&self) -> bool {
-        self.tuning.inline_ns == 0
-    }
-
-    /// `true` when the host can actually run workers concurrently.
-    pub(crate) fn multicore(&self) -> bool {
-        self.tuning.cores > 1
-    }
-
     /// Total chunks claimed by workers across all epochs (telemetry).
     #[cfg(test)]
     fn total_claims(&self) -> u64 {
         self.workers.iter().map(|w| w.claims.load(Ordering::Relaxed)).sum()
     }
 
-    /// Predicted cost of `len` items of `class`, in ns (0 = unknown).
-    fn predicted_ns(&self, class: usize, len: usize) -> f64 {
-        f64::from_bits(self.ewma[class].load(Ordering::Relaxed)) * len as f64
+    /// Predicted cost of `len` items, in ns (0 = unknown).
+    fn predicted_ns(&self, len: usize) -> f64 {
+        f64::from_bits(self.ewma.load(Ordering::Relaxed)) * len as f64
     }
 
-    /// Fold a measurement into the class's cost model.
-    fn observe(&self, class: usize, elapsed_ns: u64, len: usize) {
+    /// Fold a measurement into the cost model.
+    fn observe(&self, elapsed_ns: u64, len: usize) {
         let per = elapsed_ns as f64 / len as f64;
-        let old = f64::from_bits(self.ewma[class].load(Ordering::Relaxed));
+        let old = f64::from_bits(self.ewma.load(Ordering::Relaxed));
         let new = if old == 0.0 { per } else { old + (per - old) * 0.25 };
-        self.ewma[class].store(new.to_bits(), Ordering::Relaxed);
+        self.ewma.store(new.to_bits(), Ordering::Relaxed);
     }
 
     /// Execute `job` over the index space `[0, len)` and block until every
     /// index has been processed (or a worker errored). Callers regain
     /// exclusive access to everything the job borrows once this returns.
     ///
-    /// `class` selects the cost model for the adaptive inline decision:
-    /// when the class's measured EWMA predicts the whole job is cheaper
-    /// than the coordination handoff (`inline_ns`), or the host has a
-    /// single logical core, the coordinator runs the job itself —
-    /// identical semantics, no wakeups.
+    /// When the measured EWMA predicts the whole job is cheaper than the
+    /// coordination handoff (`inline_ns`), or the host has a single
+    /// logical core, the coordinator runs the job itself — identical
+    /// semantics, no wakeups.
     ///
     /// Every chunk boundary falls on a multiple of `align` (the final chunk
     /// may be shorter): the batched kernels pass their batch width — times
@@ -348,7 +324,6 @@ impl TickPool {
     /// threads from degenerating into per-index claims.
     pub(crate) fn run_tick(
         &self,
-        class: usize,
         len: usize,
         align: usize,
         job: &Job<'_>,
@@ -357,7 +332,7 @@ impl TickPool {
             return Ok(());
         }
         let inline = self.tuning.inline_ns != 0 && {
-            let est = self.predicted_ns(class, len);
+            let est = self.predicted_ns(len);
             self.tuning.cores <= 1 || (est > 0.0 && est < self.tuning.inline_ns as f64)
         };
         let start = Instant::now();
@@ -368,7 +343,7 @@ impl TickPool {
         } else {
             self.run_pooled(len, align, job)?;
         }
-        self.observe(class, start.elapsed().as_nanos() as u64, len);
+        self.observe(start.elapsed().as_nanos() as u64, len);
         Ok(())
     }
 
@@ -569,7 +544,7 @@ mod tests {
                     }
                     Ok(())
                 };
-                pool.run_tick(CLASS_TENTATIVE, hits.len(), 1, &job).unwrap();
+                pool.run_tick(hits.len(), 1, &job).unwrap();
             }
             assert!(pool.total_claims() > 0, "pooled path must claim chunks");
         });
@@ -598,14 +573,12 @@ mod tests {
                 Ok(())
             };
             for _ in 0..8 {
-                pool.run_tick(CLASS_TENTATIVE, hits.len(), 1, &job).unwrap();
+                pool.run_tick(hits.len(), 1, &job).unwrap();
             }
             assert_eq!(pool.total_claims(), 0, "single-core host must inline every job");
             // Inline errors surface exactly like pooled ones.
             let err = pool
-                .run_tick(CLASS_COMMIT_SCAN, 4, 1, &|_, _| {
-                    Err(PramError::AddressOutOfBounds { addr: 9, size: 4 })
-                })
+                .run_tick(4, 1, &|_, _| Err(PramError::AddressOutOfBounds { addr: 9, size: 4 }))
                 .unwrap_err();
             assert!(matches!(err, PramError::AddressOutOfBounds { .. }));
         });
@@ -630,7 +603,7 @@ mod tests {
                     Ok(())
                 }
             };
-            pool.run_tick(CLASS_TENTATIVE, 64, 1, &job).unwrap_err()
+            pool.run_tick(64, 1, &job).unwrap_err()
         });
         assert!(matches!(err, PramError::AddressOutOfBounds { .. }));
     }
@@ -657,7 +630,7 @@ mod tests {
                 }
                 Ok(())
             };
-            let err = pool.run_tick(CLASS_TENTATIVE, 64, 1, &bomb).unwrap_err();
+            let err = pool.run_tick(64, 1, &bomb).unwrap_err();
             assert!(
                 matches!(&err, PramError::WorkerPanic { pid: None, detail }
                     if detail.contains("injected worker fault")),
@@ -670,7 +643,7 @@ mod tests {
                 }
                 Ok(())
             };
-            pool.run_tick(CLASS_TENTATIVE, hits.len(), 1, &job).unwrap();
+            pool.run_tick(hits.len(), 1, &job).unwrap();
         });
         for h in &hits {
             assert_eq!(h.load(Ordering::Relaxed), 1);
@@ -700,7 +673,7 @@ mod tests {
                 }
                 Ok(())
             };
-            pool.run_tick(CLASS_TENTATIVE, hits.len(), 4, &job).unwrap();
+            pool.run_tick(hits.len(), 4, &job).unwrap();
         });
         for h in &hits {
             assert_eq!(h.load(Ordering::Relaxed), 1, "every index exactly once");
@@ -723,7 +696,7 @@ mod tests {
             for rank in 0..2 {
                 scope.spawn(move || p.worker(rank));
             }
-            pool.run_tick(CLASS_TENTATIVE, 0, 64, &|_, _| Ok(())).unwrap();
+            pool.run_tick(0, 64, &|_, _| Ok(())).unwrap();
         });
     }
 }

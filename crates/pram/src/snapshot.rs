@@ -46,7 +46,7 @@ use crate::adversary::{Adversary, TentativeCycle};
 use crate::checkpoint::Checkpoint;
 use crate::cycle::{Step, WriteSet};
 use crate::error::{BudgetKind, PramError};
-use crate::exec::{Core, ExecutionModel, RunSpec, RunStatus, SeqBackend};
+use crate::exec::{check_shared_size, Core, ExecutionModel, RunSpec, RunStatus, SeqBackend};
 use crate::memory::{MemoryLayout, SharedMemory};
 use crate::mode::WriteMode;
 use crate::unvisited::UnvisitedIndex;
@@ -347,8 +347,9 @@ impl<'p, P: SnapshotProgram> SnapshotMachine<'p, P> {
     ///
     /// # Errors
     ///
-    /// [`PramError::InvalidConfig`] if `processors == 0` or
-    /// `write_budget == 0`.
+    /// [`PramError::InvalidConfig`] if `processors == 0`,
+    /// `write_budget == 0`, or [`SnapshotProgram::shared_size`] exceeds
+    /// `u32::MAX` cells (checked before any memory is allocated).
     pub fn new(program: &'p P, processors: usize, write_budget: usize) -> Result<Self> {
         Self::with_layout(program, processors, write_budget, MemoryLayout::Flat)
     }
@@ -377,6 +378,7 @@ impl<'p, P: SnapshotProgram> SnapshotMachine<'p, P> {
                 detail: "write budget must be positive".into(),
             });
         }
+        check_shared_size(program.shared_size())?;
         let mut mem = SharedMemory::with_layout(program.shared_size(), layout)?;
         program.init_memory(&mut mem);
         let model = SnapModel { program, write_budget };
@@ -647,6 +649,14 @@ mod tests {
         // read counter stays untouched (the word machine does charge).
         assert_eq!(m.memory().read_count(), 0);
         assert_eq!(m.memory().write_count(), 8);
+    }
+
+    /// Memory beyond the completion index's `u32` range is refused before
+    /// it is allocated.
+    #[test]
+    fn oversized_memory_is_refused_before_allocation() {
+        let prog = Direct { n: 1 << 32 };
+        assert!(matches!(SnapshotMachine::new(&prog, 1, 1), Err(PramError::InvalidConfig { .. })));
     }
 
     #[test]

@@ -34,12 +34,12 @@
 //! rule and the pigeonhole adversary's tie-breaking are both defined on
 //! cells *numbered by position*.
 //!
-//! Both vectors are **width-generic**: an index over an address space of
-//! `size <= u32::MAX` stores addresses and slots as `u32`, halving the hot
-//! working set the rebuild and the per-tick accessors stream over; larger
-//! spaces fall back to `usize` words. The width is an internal property of
-//! the storage — every public accessor speaks `usize` addresses, and slice
-//! views are returned as the width-erased [`AddrSlice`].
+//! Both vectors store addresses and slots as `u32`, half the working set
+//! of `usize` words for the rebuild and the per-tick accessors to stream
+//! over. An index therefore covers at most `u32::MAX` cells (the machines
+//! refuse larger memories at construction). Every public
+//! accessor still speaks `usize` addresses, and slice views are returned
+//! as [`AddrSlice`].
 //!
 //! Each tick the machine performs O(committed writes) removals/inserts and
 //! one `ensure_clean`; compaction is O(pending tombstones + live) and every
@@ -50,58 +50,33 @@
 //! outstanding at once may grow the buffer, which is the usual amortized
 //! `Vec` growth).
 
-use crate::pool::SendPtr;
 use crate::region::Region;
 use crate::word::Word;
 
-/// Storage word for the packed index: addresses and slot numbers are kept
-/// in this width. `ABSENT` marks "address not in the set" in the position
-/// map; it can never collide with a real slot because slots are bounded by
-/// the address-space size, which fits the width by construction.
-trait IndexWord: Copy + Ord {
-    const ABSENT: Self;
-    fn from_usize(v: usize) -> Self;
-    fn to_usize(self) -> usize;
-}
+/// Largest address space an index covers: every address is
+/// `< size <= u32::MAX`, so `u32::MAX` itself stays free for the absent
+/// sentinel, and every slot number fits `u32` too.
+pub(crate) const MAX_INDEXED_CELLS: usize = u32::MAX as usize;
 
-impl IndexWord for u32 {
-    const ABSENT: Self = u32::MAX;
-    #[inline(always)]
-    fn from_usize(v: usize) -> Self {
-        v as u32
-    }
-    #[inline(always)]
-    fn to_usize(self) -> usize {
-        self as usize
-    }
-}
+/// Position-map sentinel for "address not in the set".
+const ABSENT: u32 = u32::MAX;
 
-impl IndexWord for usize {
-    const ABSENT: Self = usize::MAX;
-    #[inline(always)]
-    fn from_usize(v: usize) -> Self {
-        v
-    }
-    #[inline(always)]
-    fn to_usize(self) -> usize {
-        self
-    }
-}
+/// Width of one lane of the batched rebuild
+/// ([`UnvisitedIndex::rebuild_from_chunks_batched`]): cells are classified
+/// 64 at a time into one `u64` bit mask.
+pub const LANE_WIDTH: usize = 64;
 
-/// Largest address space the `u32` representation can hold: every address
-/// is `< size <= u32::MAX`, so `u32::MAX` itself stays free for the absent
-/// sentinel.
-const NARROW_LIMIT: usize = u32::MAX as usize;
-
-/// The width-generic storage behind [`UnvisitedIndex`]; see the module
-/// docs for the representation and cost model.
+/// A dense set of shared-memory addresses in ascending order with O(1)
+/// rank/select, O(1) amortized removal and insertion, and contiguous
+/// per-[`Region`] slicing. See the [module docs](self) for the
+/// representation and cost model.
 #[derive(Clone, Debug, Default)]
-struct Packed<W: IndexWord> {
+pub struct UnvisitedIndex {
     /// Live addresses in ascending order, possibly interleaved with stale
     /// (tombstoned) entries until the next `ensure_clean`.
-    items: Vec<W>,
-    /// `pos[addr]` = slot of `addr` in `items`, or `W::ABSENT`.
-    pos: Vec<W>,
+    items: Vec<u32>,
+    /// `pos[addr]` = slot of `addr` in `items`, or [`ABSENT`].
+    pos: Vec<u32>,
     /// Number of live addresses (maintained eagerly, valid even when dirty).
     live: usize,
     /// Whether `items` contains tombstoned entries.
@@ -110,21 +85,26 @@ struct Packed<W: IndexWord> {
     unsorted: bool,
 }
 
-impl<W: IndexWord> Packed<W> {
-    fn new(size: usize) -> Self {
-        Packed {
-            items: Vec::new(),
-            pos: vec![W::ABSENT; size],
-            live: 0,
-            holes: false,
-            unsorted: false,
-        }
+impl UnvisitedIndex {
+    /// An empty index over the address space `0..size`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `size` exceeds `u32::MAX`.
+    pub fn new(size: usize) -> Self {
+        let mut index = UnvisitedIndex::default();
+        index.reset(size);
+        index
     }
 
+    /// Empty the set and resize the position map to `0..size`, reusing
+    /// both buffers.
     fn reset(&mut self, size: usize) {
+        assert!(size <= MAX_INDEXED_CELLS, "{size} cells exceed the index's u32 address range");
         self.items.clear();
         self.pos.clear();
-        self.pos.resize(size, W::ABSENT);
+        self.pos.resize(size, ABSENT);
+        self.seal();
     }
 
     fn seal(&mut self) {
@@ -135,11 +115,18 @@ impl<W: IndexWord> Packed<W> {
 
     #[inline]
     fn push_addr(&mut self, addr: usize) {
-        self.pos[addr] = W::from_usize(self.items.len());
-        self.items.push(W::from_usize(addr));
+        self.pos[addr] = self.items.len() as u32;
+        self.items.push(addr as u32);
     }
 
-    fn rebuild(&mut self, size: usize, mut is_outstanding: impl FnMut(usize) -> bool) {
+    /// Reclassify the whole address space: afterwards the index contains
+    /// exactly the addresses for which `is_outstanding` returns `true`,
+    /// clean and in ascending order. O(size).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `size` exceeds `u32::MAX`.
+    pub fn rebuild(&mut self, size: usize, mut is_outstanding: impl FnMut(usize) -> bool) {
         self.reset(size);
         for addr in 0..size {
             if is_outstanding(addr) {
@@ -149,7 +136,17 @@ impl<W: IndexWord> Packed<W> {
         self.seal();
     }
 
-    fn rebuild_from_chunks<'a>(
+    /// [`UnvisitedIndex::rebuild`] fed from bank-aligned cell chunks
+    /// (`(base_addr, cells)` in ascending address order, e.g.
+    /// [`SharedMemory::chunks`](crate::SharedMemory::chunks)): the
+    /// classifier gets each cell's value directly from the contiguous
+    /// chunk, so a banked memory is reclassified without paying the
+    /// per-address bank mapping. O(size).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `size` exceeds `u32::MAX`.
+    pub fn rebuild_from_chunks<'a>(
         &mut self,
         size: usize,
         chunks: impl Iterator<Item = (usize, &'a [Word])>,
@@ -167,7 +164,20 @@ impl<W: IndexWord> Packed<W> {
         self.seal();
     }
 
-    fn rebuild_from_chunks_batched<'a>(
+    /// Batched [`UnvisitedIndex::rebuild_from_chunks`]: each chunk is
+    /// processed in fixed-width lanes of up to [`LANE_WIDTH`] cells, and
+    /// the classifier answers per lane with one `u64` bit mask (bit `j`
+    /// set iff cell `lane_base + j` is outstanding). The mask's set bits
+    /// are drained with `trailing_zeros`, so a mostly-satisfied memory
+    /// costs O(size / 64) mask computations plus O(outstanding) pushes —
+    /// and the classifier body is a tight, branch-free loop the compiler
+    /// can autovectorize. Produces exactly the same index as the scalar
+    /// rebuild for a classifier that agrees cell-wise.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `size` exceeds `u32::MAX`.
+    pub fn rebuild_from_chunks_batched<'a>(
         &mut self,
         size: usize,
         chunks: impl Iterator<Item = (usize, &'a [Word])>,
@@ -196,48 +206,42 @@ impl<W: IndexWord> Packed<W> {
         self.seal();
     }
 
-    /// Start a sharded rebuild: clear both vectors, reserve capacity for
-    /// the final shape (`total` live items over a `size` address space) and
-    /// expose the spare capacity as raw pointers. The vectors keep length
-    /// 0 — the uninitialized capacity is only ever *written* through the
-    /// pointers, never read — until [`Packed::finish_fill`] commits the
-    /// lengths.
-    fn begin_fill(&mut self, size: usize, total: usize) -> (*mut W, *mut W) {
-        self.items.clear();
-        self.items.reserve(total);
-        self.pos.clear();
-        self.pos.reserve(size);
-        (self.items.as_mut_ptr(), self.pos.as_mut_ptr())
-    }
-
-    /// Commit a sharded rebuild.
-    ///
-    /// # Safety
-    ///
-    /// Every `items` slot in `[0, total)` and every `pos` cell in
-    /// `[0, size)` must have been initialized through the
-    /// [`Packed::begin_fill`] pointers since that call, with `total` and
-    /// `size` no larger than the capacities it reserved.
-    unsafe fn finish_fill(&mut self, size: usize, total: usize) {
-        unsafe {
-            self.items.set_len(total);
-            self.pos.set_len(size);
-        }
-        self.seal();
-    }
-
+    /// Number of addresses in the set. Valid even while dirty.
     #[inline]
-    fn contains(&self, addr: usize) -> bool {
-        self.pos.get(addr).is_some_and(|&p| p != W::ABSENT)
+    pub fn len(&self) -> usize {
+        self.live
     }
 
-    fn is_clean(&self) -> bool {
+    /// Whether the set is empty. Valid even while dirty.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Whether `addr` is in the set. O(1), valid even while dirty.
+    #[inline]
+    pub fn contains(&self, addr: usize) -> bool {
+        self.pos.get(addr).is_some_and(|&p| p != ABSENT)
+    }
+
+    /// Whether the dense accessors ([`select`](UnvisitedIndex::select),
+    /// [`rank_of`](UnvisitedIndex::rank_of),
+    /// [`as_slice`](UnvisitedIndex::as_slice),
+    /// [`slice_in`](UnvisitedIndex::slice_in)) may be used right now.
+    pub fn is_clean(&self) -> bool {
         !self.holes && !self.unsorted
     }
 
-    fn insert(&mut self, addr: usize) -> bool {
+    /// Add `addr` to the set. Returns `false` (no-op) if already present.
+    /// O(1) amortized.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` is outside the address space the index was built
+    /// over.
+    pub fn insert(&mut self, addr: usize) -> bool {
         assert!(addr < self.pos.len(), "address {addr} outside indexed space");
-        if self.pos[addr] != W::ABSENT {
+        if self.pos[addr] != ABSENT {
             return false;
         }
         if self.items.len() == self.items.capacity() && self.holes {
@@ -251,30 +255,35 @@ impl<W: IndexWord> Packed<W> {
             // with holes present the tail entry may be stale, so be
             // conservative.
             let extends_tail = !self.holes
-                && (self.items.len() < 2 || self.items[self.items.len() - 2] < W::from_usize(addr));
+                && (self.items.len() < 2 || self.items[self.items.len() - 2] < addr as u32);
             self.unsorted = !extends_tail;
         }
         true
     }
 
-    fn remove(&mut self, addr: usize) -> bool {
+    /// Remove `addr` from the set (tombstone; O(1)). Returns `false`
+    /// (no-op) if not present.
+    pub fn remove(&mut self, addr: usize) -> bool {
         if !self.contains(addr) {
             return false;
         }
-        self.pos[addr] = W::ABSENT;
+        self.pos[addr] = ABSENT;
         self.live -= 1;
         self.holes = true;
         true
     }
 
-    fn ensure_clean(&mut self) {
+    /// Restore the dense ascending form: drop tombstones in place and
+    /// re-sort if inserts appended out of order. O(pending work); a no-op
+    /// when already clean. Performs no allocation.
+    pub fn ensure_clean(&mut self) {
         if self.holes {
             self.compact();
         }
         if self.unsorted {
             self.items.sort_unstable();
             for (slot, &addr) in self.items.iter().enumerate() {
-                self.pos[addr.to_usize()] = W::from_usize(slot);
+                self.pos[addr as usize] = slot as u32;
             }
             self.unsorted = false;
         }
@@ -286,218 +295,14 @@ impl<W: IndexWord> Packed<W> {
         let mut w = 0;
         for r in 0..self.items.len() {
             let addr = self.items[r];
-            if self.pos[addr.to_usize()] == W::from_usize(r) {
+            if self.pos[addr as usize] == r as u32 {
                 self.items[w] = addr;
-                self.pos[addr.to_usize()] = W::from_usize(w);
+                self.pos[addr as usize] = w as u32;
                 w += 1;
             }
         }
         self.items.truncate(w);
         self.holes = false;
-    }
-
-    #[inline]
-    fn select(&self, k: usize) -> usize {
-        debug_assert!(self.is_clean(), "select on a dirty index — call ensure_clean first");
-        self.items[k].to_usize()
-    }
-
-    #[inline]
-    fn rank_of(&self, addr: usize) -> Option<usize> {
-        debug_assert!(self.is_clean(), "rank_of on a dirty index — call ensure_clean first");
-        match self.pos.get(addr) {
-            Some(&p) if p != W::ABSENT => Some(p.to_usize()),
-            _ => None,
-        }
-    }
-
-    fn range_in(&self, region: Region) -> std::ops::Range<usize> {
-        debug_assert!(self.is_clean(), "range_in on a dirty index — call ensure_clean first");
-        let lo = self.items.partition_point(|&a| a.to_usize() < region.base());
-        let hi = self.items.partition_point(|&a| a.to_usize() < region.base() + region.len());
-        lo..hi
-    }
-
-    fn matches(&self, size: usize, mut is_outstanding: impl FnMut(usize) -> bool) -> bool {
-        if !self.is_clean() || self.pos.len() != size || self.items.len() != self.live {
-            return false;
-        }
-        let mut expected = 0;
-        for addr in 0..size {
-            if is_outstanding(addr) != self.contains(addr) {
-                return false;
-            }
-            if self.contains(addr) && self.items[self.pos[addr].to_usize()].to_usize() != addr {
-                return false;
-            }
-            if is_outstanding(addr) {
-                expected += 1;
-            }
-        }
-        expected == self.live && self.items.windows(2).all(|w| w[0] < w[1])
-    }
-}
-
-/// Width of one lane of the batched rebuild
-/// ([`UnvisitedIndex::rebuild_from_chunks_batched`]): cells are classified
-/// 64 at a time into one `u64` bit mask.
-pub const LANE_WIDTH: usize = 64;
-
-#[derive(Clone, Debug)]
-enum Repr {
-    /// Address space fits `u32` (`size <= u32::MAX`): half-width storage.
-    Narrow(Packed<u32>),
-    /// Full-width fallback for larger address spaces.
-    Wide(Packed<usize>),
-}
-
-impl Default for Repr {
-    fn default() -> Self {
-        Repr::Narrow(Packed::default())
-    }
-}
-
-/// Dispatch a method body over whichever packed representation is active.
-macro_rules! on_repr {
-    ($self:expr, $p:ident => $body:expr) => {
-        match &$self.repr {
-            Repr::Narrow($p) => $body,
-            Repr::Wide($p) => $body,
-        }
-    };
-}
-
-macro_rules! on_repr_mut {
-    ($self:expr, $p:ident => $body:expr) => {
-        match &mut $self.repr {
-            Repr::Narrow($p) => $body,
-            Repr::Wide($p) => $body,
-        }
-    };
-}
-
-/// A dense set of shared-memory addresses in ascending order with O(1)
-/// rank/select, O(1) amortized removal and insertion, and contiguous
-/// per-[`Region`] slicing. See the [module docs](self) for the
-/// representation and cost model.
-#[derive(Clone, Debug, Default)]
-pub struct UnvisitedIndex {
-    repr: Repr,
-}
-
-impl UnvisitedIndex {
-    /// An empty index over the address space `0..size`. Spaces of at most
-    /// `u32::MAX` addresses use the half-width `u32` storage.
-    pub fn new(size: usize) -> Self {
-        let repr = if size <= NARROW_LIMIT {
-            Repr::Narrow(Packed::new(size))
-        } else {
-            Repr::Wide(Packed::new(size))
-        };
-        UnvisitedIndex { repr }
-    }
-
-    /// Re-select the storage width for `size`, reusing the existing
-    /// buffers when the width is unchanged.
-    fn set_width(&mut self, size: usize) {
-        match (&mut self.repr, size <= NARROW_LIMIT) {
-            (Repr::Narrow(_), true) | (Repr::Wide(_), false) => {}
-            (repr, true) => *repr = Repr::Narrow(Packed::new(size)),
-            (repr, false) => *repr = Repr::Wide(Packed::new(size)),
-        }
-    }
-
-    /// Reclassify the whole address space: afterwards the index contains
-    /// exactly the addresses for which `is_outstanding` returns `true`,
-    /// clean and in ascending order. O(size).
-    pub fn rebuild(&mut self, size: usize, is_outstanding: impl FnMut(usize) -> bool) {
-        self.set_width(size);
-        on_repr_mut!(self, p => p.rebuild(size, is_outstanding));
-    }
-
-    /// [`UnvisitedIndex::rebuild`] fed from bank-aligned cell chunks
-    /// (`(base_addr, cells)` in ascending address order, e.g.
-    /// [`SharedMemory::chunks`](crate::SharedMemory::chunks)): the
-    /// classifier gets each cell's value directly from the contiguous
-    /// chunk, so a banked memory is reclassified without paying the
-    /// per-address bank mapping. O(size).
-    pub fn rebuild_from_chunks<'a>(
-        &mut self,
-        size: usize,
-        chunks: impl Iterator<Item = (usize, &'a [Word])>,
-        is_outstanding: impl FnMut(usize, Word) -> bool,
-    ) {
-        self.set_width(size);
-        on_repr_mut!(self, p => p.rebuild_from_chunks(size, chunks, is_outstanding));
-    }
-
-    /// Batched [`UnvisitedIndex::rebuild_from_chunks`]: each chunk is
-    /// processed in fixed-width lanes of up to [`LANE_WIDTH`] cells, and
-    /// the classifier answers per lane with one `u64` bit mask (bit `j`
-    /// set iff cell `lane_base + j` is outstanding). The mask's set bits
-    /// are drained with `trailing_zeros`, so a mostly-satisfied memory
-    /// costs O(size / 64) mask computations plus O(outstanding) pushes —
-    /// and the classifier body is a tight, branch-free loop the compiler
-    /// can autovectorize. Produces exactly the same index as the scalar
-    /// rebuild for a classifier that agrees cell-wise.
-    pub fn rebuild_from_chunks_batched<'a>(
-        &mut self,
-        size: usize,
-        chunks: impl Iterator<Item = (usize, &'a [Word])>,
-        lane_mask: impl FnMut(usize, &'a [Word]) -> u64,
-    ) {
-        self.set_width(size);
-        on_repr_mut!(self, p => p.rebuild_from_chunks_batched(size, chunks, lane_mask));
-    }
-
-    /// Number of addresses in the set. Valid even while dirty.
-    #[inline]
-    pub fn len(&self) -> usize {
-        on_repr!(self, p => p.live)
-    }
-
-    /// Whether the set is empty. Valid even while dirty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Whether `addr` is in the set. O(1), valid even while dirty.
-    #[inline]
-    pub fn contains(&self, addr: usize) -> bool {
-        on_repr!(self, p => p.contains(addr))
-    }
-
-    /// Whether the dense accessors ([`select`](UnvisitedIndex::select),
-    /// [`rank_of`](UnvisitedIndex::rank_of),
-    /// [`as_slice`](UnvisitedIndex::as_slice),
-    /// [`slice_in`](UnvisitedIndex::slice_in)) may be used right now.
-    pub fn is_clean(&self) -> bool {
-        on_repr!(self, p => p.is_clean())
-    }
-
-    /// Add `addr` to the set. Returns `false` (no-op) if already present.
-    /// O(1) amortized.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `addr` is outside the address space the index was built
-    /// over.
-    pub fn insert(&mut self, addr: usize) -> bool {
-        on_repr_mut!(self, p => p.insert(addr))
-    }
-
-    /// Remove `addr` from the set (tombstone; O(1)). Returns `false`
-    /// (no-op) if not present.
-    pub fn remove(&mut self, addr: usize) -> bool {
-        on_repr_mut!(self, p => p.remove(addr))
-    }
-
-    /// Restore the dense ascending form: drop tombstones in place and
-    /// re-sort if inserts appended out of order. O(pending work); a no-op
-    /// when already clean. Performs no allocation.
-    pub fn ensure_clean(&mut self) {
-        on_repr_mut!(self, p => p.ensure_clean());
     }
 
     /// The `k`-th address in ascending order (0-based). O(1).
@@ -508,38 +313,38 @@ impl UnvisitedIndex {
     /// is clean.
     #[inline]
     pub fn select(&self, k: usize) -> usize {
-        on_repr!(self, p => p.select(k))
+        debug_assert!(self.is_clean(), "select on a dirty index — call ensure_clean first");
+        self.items[k] as usize
     }
 
     /// Rank of `addr` within the ascending order, if present. O(1).
     #[inline]
     pub fn rank_of(&self, addr: usize) -> Option<usize> {
-        on_repr!(self, p => p.rank_of(addr))
+        debug_assert!(self.is_clean(), "rank_of on a dirty index — call ensure_clean first");
+        match self.pos.get(addr) {
+            Some(&p) if p != ABSENT => Some(p as usize),
+            _ => None,
+        }
     }
 
-    /// All addresses in ascending order, as a width-erased view.
+    /// All addresses in ascending order.
     pub fn as_slice(&self) -> AddrSlice<'_> {
         debug_assert!(self.is_clean(), "as_slice on a dirty index — call ensure_clean first");
-        match &self.repr {
-            Repr::Narrow(p) => AddrSlice::Narrow(&p.items),
-            Repr::Wide(p) => AddrSlice::Wide(&p.items),
-        }
+        AddrSlice(&self.items)
     }
 
     /// The rank range occupied by addresses inside `region`: two binary
     /// searches, O(log len).
     pub fn range_in(&self, region: Region) -> std::ops::Range<usize> {
-        on_repr!(self, p => p.range_in(region))
+        debug_assert!(self.is_clean(), "range_in on a dirty index — call ensure_clean first");
+        let lo = self.items.partition_point(|&a| (a as usize) < region.base());
+        let hi = self.items.partition_point(|&a| (a as usize) < region.base() + region.len());
+        lo..hi
     }
 
-    /// The addresses inside `region`, ascending, as one contiguous
-    /// width-erased view.
+    /// The addresses inside `region`, ascending, as one contiguous view.
     pub fn slice_in(&self, region: Region) -> AddrSlice<'_> {
-        let range = self.range_in(region);
-        match &self.repr {
-            Repr::Narrow(p) => AddrSlice::Narrow(&p.items[range]),
-            Repr::Wide(p) => AddrSlice::Wide(&p.items[range]),
-        }
+        AddrSlice(&self.items[self.range_in(region)])
     }
 
     /// Number of addresses inside `region`. O(log len).
@@ -551,179 +356,53 @@ impl UnvisitedIndex {
     /// the `0..size` address space, and contains exactly the addresses for
     /// which `is_outstanding` holds, in strictly ascending order. Intended
     /// for `debug_assert!` use by the machine.
-    pub fn matches(&self, size: usize, is_outstanding: impl FnMut(usize) -> bool) -> bool {
-        on_repr!(self, p => p.matches(size, is_outstanding))
-    }
-
-    /// Start a sharded (multi-worker) rebuild of the whole index: the
-    /// caller has pre-counted `total` outstanding addresses over the
-    /// `0..size` space and now wants each worker to fill a disjoint slice
-    /// of the dense form directly. Returns a width-erased [`RawFill`]
-    /// handle; workers write their partitions through it, and
-    /// [`UnvisitedIndex::finish_sharded_rebuild`] commits the result.
-    ///
-    /// The stitch is implicit in the addressing: partition `w` owns the
-    /// address range `[lo_w, hi_w)` and the items range
-    /// `[offset_w, offset_w + count_w)` where `offset_w` is the prefix sum
-    /// of the per-partition outstanding counts in rank order — so the
-    /// concatenation is exactly the ascending dense form a sequential
-    /// rebuild produces, with no data movement at the seam.
-    pub(crate) fn begin_sharded_rebuild(&mut self, size: usize, total: usize) -> RawFill {
-        self.set_width(size);
-        match &mut self.repr {
-            Repr::Narrow(p) => {
-                let (items, pos) = p.begin_fill(size, total);
-                RawFill::Narrow { items: SendPtr::new(items), pos: SendPtr::new(pos) }
+    pub fn matches(&self, size: usize, mut is_outstanding: impl FnMut(usize) -> bool) -> bool {
+        if !self.is_clean() || self.pos.len() != size || self.items.len() != self.live {
+            return false;
+        }
+        let mut expected = 0;
+        for addr in 0..size {
+            if is_outstanding(addr) != self.contains(addr) {
+                return false;
             }
-            Repr::Wide(p) => {
-                let (items, pos) = p.begin_fill(size, total);
-                RawFill::Wide { items: SendPtr::new(items), pos: SendPtr::new(pos) }
+            if self.contains(addr) && self.items[self.pos[addr] as usize] as usize != addr {
+                return false;
+            }
+            if is_outstanding(addr) {
+                expected += 1;
             }
         }
-    }
-
-    /// Commit a sharded rebuild started by
-    /// [`UnvisitedIndex::begin_sharded_rebuild`]; afterwards the index is
-    /// clean and dense.
-    ///
-    /// # Safety
-    ///
-    /// Every items slot in `[0, total)` and every position-map cell in
-    /// `[0, size)` must have been written through the [`RawFill`] handle
-    /// (via [`RawFill::clear_pos`] / [`RawFill::set`]) since the matching
-    /// `begin_sharded_rebuild(size, total)` call, and all worker writes
-    /// must have been synchronized-with (the pool barrier does this).
-    pub(crate) unsafe fn finish_sharded_rebuild(&mut self, size: usize, total: usize) {
-        on_repr_mut!(self, p => unsafe { p.finish_fill(size, total) });
-    }
-
-    /// Force the full-width `usize` representation regardless of size —
-    /// test hook so the wide code paths are exercised on small spaces.
-    #[cfg(test)]
-    fn force_wide(&mut self) {
-        if let Repr::Narrow(p) = &self.repr {
-            let mut wide = Packed::<usize>::new(p.pos.len());
-            wide.items = p.items.iter().map(|&a| a as usize).collect();
-            for (addr, &slot) in p.pos.iter().enumerate() {
-                wide.pos[addr] = if slot == u32::MAX { usize::MAX } else { slot as usize };
-            }
-            wide.live = p.live;
-            wide.holes = p.holes;
-            wide.unsorted = p.unsorted;
-            self.repr = Repr::Wide(wide);
-        }
+        expected == self.live && self.items.windows(2).all(|w| w[0] < w[1])
     }
 }
 
-/// Width-erased raw-pointer handle for a sharded index rebuild
-/// ([`UnvisitedIndex::begin_sharded_rebuild`]): `items` points at the
-/// dense-items spare capacity, `pos` at the position-map spare capacity.
-/// `Copy + Send + Sync` so every pool worker can hold one; soundness rests
-/// on workers writing disjoint ranges, which the caller proves.
-#[derive(Clone, Copy)]
-pub(crate) enum RawFill {
-    /// Half-width (`u32`) storage.
-    Narrow {
-        /// Dense-items buffer base.
-        items: SendPtr<u32>,
-        /// Position-map buffer base.
-        pos: SendPtr<u32>,
-    },
-    /// Full-width (`usize`) storage.
-    Wide {
-        /// Dense-items buffer base.
-        items: SendPtr<usize>,
-        /// Position-map buffer base.
-        pos: SendPtr<usize>,
-    },
-}
-
-impl RawFill {
-    /// Mark every address in `[lo, hi)` absent. All-ones bytes spell the
-    /// absent sentinel in both widths (`u32::MAX` / `usize::MAX`).
-    ///
-    /// # Safety
-    ///
-    /// The caller must own `pos[lo..hi]` exclusively and `hi` must be
-    /// within the capacity reserved by `begin_sharded_rebuild`.
-    pub(crate) unsafe fn clear_pos(&self, lo: usize, hi: usize) {
-        match self {
-            RawFill::Narrow { pos, .. } => unsafe {
-                std::ptr::write_bytes(pos.ptr().add(lo), 0xFF, hi - lo);
-            },
-            RawFill::Wide { pos, .. } => unsafe {
-                std::ptr::write_bytes(pos.ptr().add(lo), 0xFF, hi - lo);
-            },
-        }
-    }
-
-    /// Record `addr` as the `slot`-th dense item (`items[slot] = addr`,
-    /// `pos[addr] = slot`).
-    ///
-    /// # Safety
-    ///
-    /// The caller must own `items[slot]` and `pos[addr]` exclusively, both
-    /// within the capacities reserved by `begin_sharded_rebuild`.
-    pub(crate) unsafe fn set(&self, slot: usize, addr: usize) {
-        match self {
-            RawFill::Narrow { items, pos } => unsafe {
-                *items.ptr().add(slot) = addr as u32;
-                *pos.ptr().add(addr) = slot as u32;
-            },
-            RawFill::Wide { items, pos } => unsafe {
-                *items.ptr().add(slot) = addr;
-                *pos.ptr().add(addr) = slot;
-            },
-        }
-    }
-}
-
-/// A width-erased view of a contiguous run of index entries: the borrow
-/// either points at `u32` or `usize` storage, and every accessor speaks
-/// `usize` addresses. Replaces the `&[usize]` slices the index returned
-/// before the storage became width-generic.
+/// A view of a contiguous run of index entries. The index stores `u32`
+/// words; every accessor widens them to `usize` addresses.
 #[derive(Clone, Copy, Debug)]
-pub enum AddrSlice<'a> {
-    /// Borrowed half-width storage.
-    Narrow(&'a [u32]),
-    /// Borrowed full-width storage.
-    Wide(&'a [usize]),
-}
+pub struct AddrSlice<'a>(&'a [u32]);
 
 impl<'a> AddrSlice<'a> {
     /// Number of addresses in the view.
     #[inline]
     pub fn len(&self) -> usize {
-        match self {
-            AddrSlice::Narrow(s) => s.len(),
-            AddrSlice::Wide(s) => s.len(),
-        }
+        self.0.len()
     }
 
     /// Whether the view is empty.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.0.is_empty()
     }
 
     /// The `k`-th address of the view, if in bounds.
     #[inline]
     pub fn get(&self, k: usize) -> Option<usize> {
-        match self {
-            AddrSlice::Narrow(s) => s.get(k).map(|&a| a as usize),
-            AddrSlice::Wide(s) => s.get(k).copied(),
-        }
+        self.0.get(k).map(|&a| a as usize)
     }
 
     /// The addresses in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = usize> + 'a {
-        // Both arms widen to one concrete iterator type via Either-style
-        // chaining: map each narrow item up front.
-        let (narrow, wide) = match self {
-            AddrSlice::Narrow(s) => (Some(s.iter()), None),
-            AddrSlice::Wide(s) => (None, Some(s.iter())),
-        };
-        narrow.into_iter().flatten().map(|&a| a as usize).chain(wide.into_iter().flatten().copied())
+        self.0.iter().map(|&a| a as usize)
     }
 
     /// The addresses as an owned `Vec<usize>`.
@@ -828,36 +507,28 @@ mod tests {
 
     #[test]
     fn interleaved_churn_matches_ground_truth() {
-        for wide in [false, true] {
-            let size = 64;
-            let mut idx = UnvisitedIndex::new(size);
-            if wide {
-                idx.force_wide();
+        let size = 64;
+        let mut idx = UnvisitedIndex::new(size);
+        idx.rebuild(size, |_| true);
+        let mut truth: Vec<bool> = vec![true; size];
+        // Deterministic churn: walk a fixed stride, toggling membership.
+        let mut a = 17usize;
+        for step in 0..500 {
+            a = (a * 31 + 7) % size;
+            if truth[a] {
+                idx.remove(a);
+                truth[a] = false;
+            } else {
+                idx.insert(a);
+                truth[a] = true;
             }
-            idx.rebuild(size, |_| true);
-            if wide {
-                idx.force_wide();
+            if step % 7 == 0 {
+                idx.ensure_clean();
             }
-            let mut truth: Vec<bool> = vec![true; size];
-            // Deterministic churn: walk a fixed stride, toggling membership.
-            let mut a = 17usize;
-            for step in 0..500 {
-                a = (a * 31 + 7) % size;
-                if truth[a] {
-                    idx.remove(a);
-                    truth[a] = false;
-                } else {
-                    idx.insert(a);
-                    truth[a] = true;
-                }
-                if step % 7 == 0 {
-                    idx.ensure_clean();
-                }
-                assert_eq!(idx.len(), truth.iter().filter(|&&t| t).count());
-            }
-            idx.ensure_clean();
-            assert!(idx.matches(size, |addr| truth[addr]));
+            assert_eq!(idx.len(), truth.iter().filter(|&&t| t).count());
         }
+        idx.ensure_clean();
+        assert!(idx.matches(size, |addr| truth[addr]));
     }
 
     #[test]
@@ -865,28 +536,6 @@ mod tests {
     fn insert_out_of_space_panics() {
         let mut idx = UnvisitedIndex::new(2);
         idx.insert(2);
-    }
-
-    /// The wide (usize) representation answers every accessor identically
-    /// to the narrow one.
-    #[test]
-    fn wide_representation_matches_narrow() {
-        let narrow = fresh(&[1, 3, 5, 9], 12);
-        let mut wide = fresh(&[1, 3, 5, 9], 12);
-        wide.force_wide();
-        assert_eq!(narrow.len(), wide.len());
-        assert_eq!(narrow.as_slice().to_vec(), wide.as_slice().to_vec());
-        for k in 0..narrow.len() {
-            assert_eq!(narrow.select(k), wide.select(k));
-        }
-        for addr in 0..12 {
-            assert_eq!(narrow.rank_of(addr), wide.rank_of(addr));
-            assert_eq!(narrow.contains(addr), wide.contains(addr));
-        }
-        let mut layout = LayoutBuilder::new();
-        let r = layout.alloc(6);
-        assert_eq!(narrow.slice_in(r).to_vec(), wide.slice_in(r).to_vec());
-        assert!(wide.matches(12, |a| [1, 3, 5, 9].contains(&a)));
     }
 
     /// `select(k)` edge cases: the last element, one past the end (panics),
@@ -967,78 +616,6 @@ mod tests {
             mask
         });
         assert_eq!(batched.as_slice().to_vec(), plain.as_slice().to_vec());
-    }
-
-    /// A sharded rebuild (partition counts → prefix-sum offsets → raw
-    /// fill → finish) produces exactly the dense form of a plain rebuild,
-    /// in both storage widths and for ragged partition boundaries.
-    #[test]
-    fn sharded_rebuild_stitch_matches_plain_rebuild() {
-        for size in [0usize, 1, 7, 64, 65, 130] {
-            let outstanding = |a: usize| a.is_multiple_of(3) || a % 7 == 1;
-            let mut plain = UnvisitedIndex::new(size);
-            plain.rebuild(size, outstanding);
-
-            let mut sharded = UnvisitedIndex::new(size);
-            // Three ragged partitions of the address space.
-            let cuts = [0, size / 3, size / 3 + size / 2, size];
-            let counts: Vec<usize> =
-                cuts.windows(2).map(|w| (w[0]..w[1]).filter(|&a| outstanding(a)).count()).collect();
-            let total: usize = counts.iter().sum();
-            let raw = sharded.begin_sharded_rebuild(size, total);
-            let mut offset = 0;
-            for (w, pair) in cuts.windows(2).enumerate() {
-                let (lo, hi) = (pair[0], pair[1]);
-                // SAFETY: partitions are disjoint and in bounds.
-                unsafe {
-                    raw.clear_pos(lo, hi);
-                    let mut slot = offset;
-                    for addr in lo..hi {
-                        if outstanding(addr) {
-                            raw.set(slot, addr);
-                            slot += 1;
-                        }
-                    }
-                    assert_eq!(slot - offset, counts[w]);
-                }
-                offset += counts[w];
-            }
-            // SAFETY: every pos cell and items slot was written above.
-            unsafe { sharded.finish_sharded_rebuild(size, total) };
-            assert!(sharded.is_clean());
-            assert_eq!(sharded.as_slice().to_vec(), plain.as_slice().to_vec());
-            assert!(sharded.matches(size, outstanding), "size {size}");
-        }
-    }
-
-    /// The wide (`usize`) fill arms, unreachable through the public API
-    /// below a 2^32 address space, agree with a plain wide rebuild.
-    #[test]
-    fn sharded_fill_wide_arms_match_plain_rebuild() {
-        let size = 37;
-        let outstanding = |a: usize| a % 4 != 1;
-        let total = (0..size).filter(|&a| outstanding(a)).count();
-        let mut packed = Packed::<usize>::new(size);
-        let (items, pos) = packed.begin_fill(size, total);
-        let raw = RawFill::Wide { items: SendPtr::new(items), pos: SendPtr::new(pos) };
-        // SAFETY: single-threaded, in-bounds, every cell written.
-        unsafe {
-            raw.clear_pos(0, size);
-            let mut slot = 0;
-            for addr in 0..size {
-                if outstanding(addr) {
-                    raw.set(slot, addr);
-                    slot += 1;
-                }
-            }
-            assert_eq!(slot, total);
-            packed.finish_fill(size, total);
-        }
-        let mut plain = Packed::<usize>::new(size);
-        plain.rebuild(size, outstanding);
-        assert_eq!(packed.items, plain.items);
-        assert_eq!(packed.pos, plain.pos);
-        assert!(packed.matches(size, outstanding));
     }
 
     /// The batched rebuild splits chunks into [`LANE_WIDTH`]-cell lanes

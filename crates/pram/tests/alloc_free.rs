@@ -8,8 +8,8 @@
 //! sequential engine must allocate *exactly zero* times across a batch of
 //! steady-state ticks, and a pooled run's allocation total must not grow
 //! with the number of ticks — including with the adaptive inline degrade
-//! disabled, so the spin-then-park barrier, the per-worker commit
-//! buffers and the sharded index rebuild are all inside the measurement.
+//! disabled, so the spin-then-park barrier and the pooled tentative phase
+//! are inside the measurement.
 //!
 //! Only allocations by the measured run count: the measuring thread, and
 //! the run's own pool workers, which mark themselves the first time they
@@ -28,8 +28,8 @@ use rfsp_pram::{
 };
 
 /// [`Grind`] with completion hints, so the pooled run builds the
-/// completion index (sharded rebuild at run entry) and the parallel
-/// commit exercises its net index-op path every tick.
+/// completion index at run entry and the commit maintains it every
+/// tick.
 struct HintedGrind {
     n: usize,
     target: Word,
@@ -286,15 +286,12 @@ fn pooled_allocations_do_not_grow_with_tick_count() {
     );
 }
 
-/// The forced-parallel engine — spin-then-park barrier, per-worker commit
-/// buffers (scan/merge/store), net index ops and the sharded rebuild —
-/// must also reach an allocation-free steady state. `RFSP_POOL_INLINE_NS=0`
-/// disables the adaptive inline degrade so every tick actually crosses
-/// the barrier and runs the three commit passes; a tracked program makes
-/// the commit maintain the unvisited index too. The per-worker rows of
-/// `CommitScratch` grow to their working sizes during the first ticks and
-/// are reused verbatim afterwards, so allocations must not scale with
-/// tick count.
+/// The forced-parallel engine — the spin-then-park barrier and the pooled
+/// tentative phase — must also reach an allocation-free steady state.
+/// `RFSP_POOL_INLINE_NS=0` disables the adaptive inline degrade so every
+/// tick actually crosses the barrier; a tracked program makes the
+/// sequential commit behind it maintain the unvisited index too. All
+/// allocations happen at setup, so they must not scale with tick count.
 #[test]
 fn forced_parallel_commit_allocations_do_not_grow_with_tick_count() {
     let window = Measuring::start();
