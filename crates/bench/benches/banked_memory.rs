@@ -1,12 +1,12 @@
-//! Bank-partitioned shared memory: layout overhead and network cost.
+//! Banked shared memory: layout overhead and network cost.
 //!
 //! Two questions, one workload (algorithm X on Write-All, no failures):
 //!
 //! 1. **Layout overhead** (criterion group `banked_memory`): wall time of
 //!    the same run under the flat layout and under word- and block-
-//!    interleaved banked layouts. The banked address arithmetic sits on
-//!    the machine's hottest path (every charged read and write), so the
-//!    timing difference is the real cost of bank partitioning.
+//!    interleaved banked layouts. Cells are one flat array under every
+//!    layout, so the only layout cost is mapping each charged read and
+//!    write to its bank's counter; the timing difference measures that.
 //!
 //! 2. **Network cost per bank mapping** (`BENCH_BANKS.json`): one *real*
 //!    machine execution per bank count, metered through the omega network

@@ -151,7 +151,6 @@ where
         algo,
         ExecMode::Sequential,
         MemoryLayout::Flat,
-        MachineTuning::default(),
         n,
         p,
         make_adversary,
@@ -160,22 +159,10 @@ where
     )
 }
 
-/// Machine knobs the run recipe forwards verbatim (all default to the
-/// machine's own defaults).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct MachineTuning {
-    /// Tentative-phase batch width ([`Machine::set_batch_width`]); `None`
-    /// keeps the machine default, `Some(1)` forces the scalar reference
-    /// path.
-    pub batch_width: Option<usize>,
-}
-
 /// [`run_write_all_with_observed`] on the tick engine `exec`, over a
-/// shared memory partitioned per `mem_layout`, with explicit
-/// [`MachineTuning`]. Every engine, layout and tuning produces a
-/// bit-identical run; the layout only changes what the per-bank counters
-/// (and any attached network meter) see, and the tuning only how the
-/// tentative phase is vectorized.
+/// shared memory banked per `mem_layout`. Every engine and layout
+/// produces a bit-identical run; the layout only changes what the per-bank
+/// counters (and any attached network meter) see.
 ///
 /// # Errors
 ///
@@ -185,7 +172,6 @@ pub fn run_write_all_tuned_observed<F, A>(
     algo: Algo,
     exec: ExecMode<'_>,
     mem_layout: MemoryLayout,
-    tuning: MachineTuning,
     n: usize,
     p: usize,
     make_adversary: F,
@@ -196,7 +182,7 @@ where
     F: FnOnce(&WriteAllSetup) -> A,
     A: Adversary,
 {
-    let run = Drive { exec, mem_layout, tuning, p, make_adversary, limits, observer };
+    let run = Drive { exec, mem_layout, p, make_adversary, limits, observer };
     with_write_all_program(algo, n, p, run)
 }
 
@@ -204,7 +190,6 @@ where
 struct Drive<'a, F> {
     exec: ExecMode<'a>,
     mem_layout: MemoryLayout,
-    tuning: MachineTuning,
     p: usize,
     make_adversary: F,
     limits: RunLimits,
@@ -225,9 +210,6 @@ where
     {
         let mut adversary = (self.make_adversary)(setup);
         let mut m = Machine::with_layout(prog, self.p, budget, self.mem_layout)?;
-        if let Some(w) = self.tuning.batch_width {
-            m.set_batch_width(w);
-        }
         let spec = RunSpec {
             limits: self.limits,
             exec: self.exec,
@@ -362,8 +344,8 @@ where
     let prog = AlgoX::new(&mut layout, tasks, p, opts);
     let setup = WriteAllSetup { tasks, x_layout: Some(*prog.layout()), tree: Some(prog.tree()) };
     let exec = ExecMode::Sequential;
-    let (mem_layout, tuning) = (MemoryLayout::Flat, MachineTuning::default());
-    let run = Drive { exec, mem_layout, tuning, p, make_adversary, limits, observer };
+    let mem_layout = MemoryLayout::Flat;
+    let run = Drive { exec, mem_layout, p, make_adversary, limits, observer };
     run.visit(&prog, &setup, CycleBudget::PAPER)
 }
 
@@ -490,7 +472,6 @@ mod tests {
             Algo::X,
             ExecMode::Sequential,
             MemoryLayout::Flat,
-            MachineTuning::default(),
             32,
             8,
             |_| NoFailures,
@@ -502,7 +483,6 @@ mod tests {
             Algo::X,
             ExecMode::Threads(3),
             MemoryLayout::Flat,
-            MachineTuning::default(),
             32,
             8,
             |_| NoFailures,
@@ -523,7 +503,6 @@ mod tests {
             Algo::X,
             ExecMode::Sequential,
             MemoryLayout::banked(4),
-            MachineTuning::default(),
             32,
             8,
             |_| NoFailures,

@@ -79,6 +79,12 @@ impl Args {
         self.flags.iter().any(|f| f == key)
     }
 
+    /// Every `--key` given, options and flags alike, in no particular
+    /// order.
+    pub fn keys(&self) -> impl Iterator<Item = &str> {
+        self.opts.keys().chain(&self.flags).map(String::as_str)
+    }
+
     /// Parsed numeric option with a default.
     ///
     /// # Errors
@@ -104,6 +110,9 @@ mod tests {
         assert_eq!(a.get("algo"), Some("x"));
         assert!(a.flag("trace"));
         assert!(!a.flag("quiet"));
+        let mut keys: Vec<&str> = a.keys().collect();
+        keys.sort_unstable();
+        assert_eq!(keys, ["algo", "n", "trace"]);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use rfsp_adversary::{
     offline_random, Budgeted, Pigeonhole, RandomFaults, Stalking, StalkingMode, Thrashing, XKiller,
 };
-use rfsp_bench::{exec_label, run_write_all_tuned_observed, Algo, MachineTuning, WriteAllSetup};
+use rfsp_bench::{exec_label, run_write_all_tuned_observed, Algo, WriteAllSetup};
 use rfsp_pram::{
     Adversary, ExecMode, MemoryLayout, NoFailures, NoopObserver, RunLimits, ScheduledAdversary,
 };
@@ -130,18 +130,12 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
     }
     let exec = if threads == 1 { ExecMode::Sequential } else { ExecMode::Threads(threads) };
     let mem_layout = parse_layout(args)?;
-    // 0 = keep the machine default; 1 = the scalar reference path (the
-    // differential-testing toggle).
-    let batch_width: usize = args.get_parsed("batch-width", 0)?;
-    let tuning =
-        MachineTuning { batch_width: if batch_width == 0 { None } else { Some(batch_width) } };
 
     let mut build_err = None;
     let result = run_write_all_tuned_observed(
         algo,
         exec,
         mem_layout,
-        tuning,
         n,
         p,
         |setup| match build_adversary(args, setup, n) {

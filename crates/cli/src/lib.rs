@@ -51,14 +51,11 @@ COMMANDS:
                --record-pattern FILE --replay-pattern FILE --max-cycles C
                --threads T        tick engine: 1 = sequential (default),
                                   T > 1 = persistent worker pool
-               --banks B          partition shared memory into B banks
-                                  (default 1 = flat); runs are bit-
-                                  identical across layouts
+               --banks B          charge memory accesses to B bank
+                                  counters (default 1 = flat); runs are
+                                  bit-identical across layouts
                --interleave I     cells per block in the block-cyclic
                                   bank mapping (default 1 = word)
-               --batch-width W    tentative-phase batch width (default:
-                                  machine default; 1 = scalar reference
-                                  path); behavior-invariant
   simulate     execute a PRAM kernel fault-tolerantly (Theorem 4.1)
                --kernel prefix|sum|max|sort|listrank|matvec|components
                --n SIZE --p PROCS --engine x|v|vx
@@ -66,7 +63,9 @@ COMMANDS:
   lockfree     run algorithm X on real OS threads over atomics
                --n SIZE --threads T --fault-rate F --seed S
   trace        run a Write-All instance under full telemetry and export it
-               (same instance/adversary options as writeall, plus:)
+               (writeall's options except --threads, --banks, --interleave
+               and --record-pattern, plus:)
+               --model M          machine model: word (default) or snapshot
                --events FILE|-    raw machine-event stream, JSONL
                --metrics FILE|-   per-tick metrics series
                --format csv|jsonl metrics format (default csv)
@@ -117,6 +116,9 @@ COMMANDS:
                (--shutdown instead stops every job and exits the daemon)
   help         show this text
 
+Every command also takes --help (print that command's usage). An option
+a command does not know is a usage error.
+
 EXIT CODES:
   0  success
   1  runtime error (I/O, machine error, failed cross-check, daemon refusal)
@@ -139,6 +141,88 @@ pub const COMMANDS: &[&str] = &[
     "cancel",
     "help",
 ];
+
+/// The options `command` understands, flags included, separated by
+/// spaces. `--help` is accepted everywhere and not listed.
+fn known_keys(command: &str) -> String {
+    // Read by the Write-All adversary builder (`writeall`, `trace`).
+    let adversary =
+        "adversary rate restart-rate seed fault-budget target no-restarts replay-pattern";
+    // A crash-safe long run (`experiment --run`, `submit`), minus its paths.
+    let long_run = "algo n p threads adversary rate restart-rate seed replay-pattern every policy \
+                    max-cycles";
+    match command {
+        "writeall" => {
+            format!("algo n p max-cycles threads banks interleave record-pattern {adversary}")
+        }
+        "trace" => format!("algo n p max-cycles model tail format events metrics {adversary}"),
+        "simulate" => "kernel n p engine adversary rate restart-rate seed".into(),
+        "lockfree" => "n threads fault-rate seed".into(),
+        "experiment" => format!("id run resume checkpoint events {long_run}"),
+        "soak" => "cases seed verbose replay replay-out".into(),
+        "serve" => "spool socket workers quantum".into(),
+        "submit" => format!("socket watch {long_run}"),
+        "jobs" => "socket".into(),
+        "cancel" => "socket job shutdown".into(),
+        _ => String::new(),
+    }
+}
+
+/// Reject the first option `command` does not understand, naming it and
+/// the nearest option the command does know.
+///
+/// # Errors
+///
+/// An [`ArgError`] for the unknown key.
+pub fn check_keys(command: &str, args: &Args) -> Result<(), ArgError> {
+    let known = known_keys(command);
+    let known: Vec<&str> = known.split_whitespace().collect();
+    let Some(bad) = args.keys().find(|k| *k != "help" && !known.contains(k)) else {
+        return Ok(());
+    };
+    let nearest = known.iter().min_by_key(|k| edit_distance(bad, k));
+    Err(ArgError(match nearest {
+        Some(near) => {
+            format!("unknown option '--{bad}' for '{command}' (did you mean '--{near}'?)")
+        }
+        None => format!("'{command}' takes no options (got '--{bad}')"),
+    }))
+}
+
+/// Levenshtein distance between two option names.
+fn edit_distance(a: &str, b: &str) -> usize {
+    let b: Vec<char> = b.chars().collect();
+    let mut row: Vec<usize> = (0..=b.len()).collect();
+    for (i, ca) in a.chars().enumerate() {
+        let mut diag = row[0];
+        row[0] = i + 1;
+        for (j, &cb) in b.iter().enumerate() {
+            let next = (diag + usize::from(ca != cb)).min(row[j] + 1).min(row[j + 1] + 1);
+            diag = row[j + 1];
+            row[j + 1] = next;
+        }
+    }
+    row[b.len()]
+}
+
+/// The usage text of one command: its block of [`USAGE`]'s command list.
+pub fn command_usage(command: &str) -> String {
+    let commands = USAGE.split("COMMANDS:\n").nth(1).unwrap_or_default();
+    let mut block = String::new();
+    let mut inside = false;
+    for line in commands.lines() {
+        if line.starts_with("  ") && !line.starts_with("   ") {
+            inside = line[2..].split_whitespace().next() == Some(command);
+        } else if line.is_empty() || !line.starts_with(' ') {
+            inside = false;
+        }
+        if inside {
+            block.push_str(line);
+            block.push('\n');
+        }
+    }
+    format!("USAGE: rfsp {command} [--key value]... [--flag]...\n\n{block}")
+}
 
 /// The unified "unknown X" error: name what was given and what would have
 /// been accepted, the same shape for commands, algorithms, adversaries,
@@ -178,7 +262,8 @@ pub fn dispatch(args: &Args) -> Result<CliOutcome, ArgError> {
 ///
 /// * `0` — success.
 /// * `1` — runtime error (I/O, machine error, failed cross-check).
-/// * `2` — usage error: malformed command line or unknown command.
+/// * `2` — usage error: malformed command line, unknown command, or an
+///   option the command does not know ([`check_keys`]).
 /// * `3` — long run interrupted by SIGINT after checkpointing.
 pub fn run_cli<I, S>(raw: I) -> u8
 where
@@ -194,6 +279,17 @@ where
         }
     };
     let usage_error = args.command.as_deref().is_some_and(|c| !COMMANDS.contains(&c));
+    if let Some(command) = args.command.as_deref().filter(|c| COMMANDS.contains(c)) {
+        if args.flag("help") || args.get("help").is_some() {
+            print!("{}", command_usage(command));
+            return 0;
+        }
+        if let Err(e) = check_keys(command, &args) {
+            eprintln!("error: {e}");
+            eprintln!("try 'rfsp {command} --help'");
+            return 2;
+        }
+    }
     match dispatch(&args) {
         Ok(CliOutcome::Done) => 0,
         // Interrupted-with-checkpoint: distinct from errors so callers can
@@ -233,11 +329,42 @@ mod tests {
         // 2 — usage: unknown command, malformed command line.
         assert_eq!(run_cli(["bogus"]), 2);
         assert_eq!(run_cli(["writeall", "stray-positional"]), 2);
+        assert_eq!(run_cli(["writeall", "--n", "32", "--thraeds", "2"]), 2);
+        // `--help` prints the command's usage instead of running it.
+        assert_eq!(run_cli(["experiment", "--help"]), 0);
         // 1 — runtime: a known command that fails while running.
         assert_eq!(run_cli(["writeall", "--algo", "zzz"]), 1);
         assert_eq!(run_cli(["experiment", "--resume", "/no/such/ck.json"]), 1);
         // 3 — interrupted-with-checkpoint — exercised against the real
         // binary (signal delivery) in tests/exit_codes.rs.
+    }
+
+    #[test]
+    fn unknown_keys_name_the_nearest_known_one() {
+        let a = Args::parse(["writeall", "--n", "64", "--thraeds", "2"]).unwrap();
+        let e = check_keys("writeall", &a).unwrap_err();
+        assert!(e.0.contains("'--thraeds'") && e.0.contains("'--threads'"), "{e}");
+        let a = Args::parse(["serve", "--worker", "2"]).unwrap();
+        assert!(check_keys("serve", &a).unwrap_err().0.contains("'--workers'"));
+        let a = Args::parse(["help", "--verbose"]).unwrap();
+        assert!(check_keys("help", &a).is_err());
+        // Every command accepts the keys its own tests and docs use.
+        let a = Args::parse(["submit", "--socket", "s", "--n", "8", "--watch"]).unwrap();
+        check_keys("submit", &a).unwrap();
+        let a = Args::parse(["experiment", "--help"]).unwrap();
+        check_keys("experiment", &a).unwrap();
+        assert_eq!(edit_distance("thraeds", "threads"), 2);
+        assert_eq!(edit_distance("", "n"), 1);
+    }
+
+    #[test]
+    fn command_usage_is_the_commands_block() {
+        for &command in COMMANDS {
+            let usage = command_usage(command);
+            assert!(usage.contains(&format!("\n  {command} ")), "{command}: {usage}");
+        }
+        let serve = command_usage("serve");
+        assert!(serve.contains("--quantum") && !serve.contains("--cases"), "{serve}");
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Exit-code table certification against the real `rfsp` binary.
 //!
 //! The in-process table (`run_cli` unit tests) covers codes 0/1/2; this
-//! suite adds the one that needs genuine signal delivery: a SIGINT'd
+//! suite checks them against the binary and adds the one that needs
+//! genuine signal delivery: a SIGINT'd
 //! long run must exit 3 **after** writing a resumable checkpoint, and the
 //! resume must then run to completion with exit 0.
 
@@ -25,12 +26,29 @@ fn code(args: &[&str]) -> i32 {
 fn codes_zero_one_and_two_against_the_binary() {
     assert_eq!(code(&["help"]), 0);
     assert_eq!(code(&["writeall", "--n", "32", "--p", "8"]), 0);
-    // Usage errors: unknown command, stray positional.
+    // Usage errors: unknown command, stray positional, unknown option.
     assert_eq!(code(&["bogus"]), 2);
     assert_eq!(code(&["writeall", "stray"]), 2);
+    assert_eq!(code(&["writeall", "--n", "64", "--p", "8", "--thraeds", "2"]), 2);
+    assert_eq!(code(&["writeall", "--batch-width", "1"]), 2);
     // Runtime errors: known command that fails while running.
     assert_eq!(code(&["writeall", "--algo", "zzz"]), 1);
     assert_eq!(code(&["experiment", "--resume", "/no/such/ck.json"]), 1);
+}
+
+/// `--help` prints the command's usage and exits 0 without running it:
+/// `experiment` would otherwise start the whole e1–e13 suite and `serve`
+/// would start a daemon.
+#[test]
+fn help_on_a_command_prints_its_usage_without_running() {
+    for command in ["experiment", "serve"] {
+        let start = Instant::now();
+        let out = Command::new(BIN).args([command, "--help"]).output().expect("spawn rfsp");
+        assert_eq!(out.status.code(), Some(0), "{command} --help");
+        assert!(start.elapsed() < Duration::from_secs(5), "{command} --help ran the command");
+        let text = String::from_utf8(out.stdout).unwrap();
+        assert!(text.starts_with(&format!("USAGE: rfsp {command} ")), "{text}");
+    }
 }
 
 #[cfg(unix)]

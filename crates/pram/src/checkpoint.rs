@@ -105,12 +105,11 @@ pub struct Checkpoint {
     pub budget_reads: usize,
     /// Write half of the cycle budget.
     pub budget_writes: usize,
-    /// Physical memory layout of the run. Restore refuses a checkpoint
+    /// Bank layout of the run. Restore refuses a checkpoint
     /// taken under a different layout: the per-bank counters below are
     /// meaningless under any other bank mapping.
     pub layout: MemoryLayout,
-    /// Shared-memory cells — always the merged, address-ordered image,
-    /// whatever the physical layout.
+    /// Shared-memory cells in address order.
     pub mem: Vec<Word>,
     /// Charged read count per bank at the pause point (one entry for the
     /// flat layout).
@@ -169,9 +168,9 @@ impl Checkpoint {
         put_state_frame(
             out,
             self.header(),
-            (self.mem.len(), std::iter::once(&self.mem[..])),
-            self.bank_reads.iter().copied(),
-            self.bank_writes.iter().copied(),
+            &self.mem,
+            &self.bank_reads,
+            &self.bank_writes,
             self.pattern.events(),
         )
     }
@@ -315,31 +314,24 @@ impl FrameHeader<'_> {
 /// [`Checkpoint`] encodes through it, and so does the core straight from
 /// live machine state, without copying memory or pattern first.
 ///
-/// `cells` is the cell count and the cells themselves, in address order,
-/// as any run of contiguous chunks.
-pub(crate) fn put_state_frame<'c>(
+/// `cells` is the whole memory in address order.
+pub(crate) fn put_state_frame(
     out: &mut Vec<u8>,
     header: FrameHeader<'_>,
-    cells: (usize, impl Iterator<Item = &'c [Word]>),
-    bank_reads: impl ExactSizeIterator<Item = u64>,
-    bank_writes: impl ExactSizeIterator<Item = u64>,
+    cells: &[Word],
+    bank_reads: &[u64],
+    bank_writes: &[u64],
     pattern: &[FailureEvent],
 ) -> usize {
     let start = out.len();
     out.extend_from_slice(MAGIC);
     wire::put_uleb(out, u64::from(header.version));
     wire::put_json(out, &header.into_json());
-    let (count, chunks) = cells;
     // At least one byte per cell.
-    out.reserve(count);
-    wire::put_uleb(out, count as u64);
-    for chunk in chunks {
-        for &x in chunk {
-            wire::put_uleb(out, x);
-        }
-    }
-    put_counters(out, bank_reads);
-    put_counters(out, bank_writes);
+    out.reserve(cells.len());
+    put_uleb_vec(out, cells);
+    put_uleb_vec(out, bank_reads);
+    put_uleb_vec(out, bank_writes);
     wire::put_uleb(out, pattern.len() as u64);
     let mut prev = 0u64;
     for e in pattern {
@@ -366,9 +358,9 @@ pub(crate) fn put_state_frame<'c>(
 }
 
 /// Append a count-prefixed run of varints.
-fn put_counters(out: &mut Vec<u8>, values: impl ExactSizeIterator<Item = u64>) {
+fn put_uleb_vec(out: &mut Vec<u8>, values: &[u64]) {
     wire::put_uleb(out, values.len() as u64);
-    for x in values {
+    for &x in values {
         wire::put_uleb(out, x);
     }
 }

@@ -54,7 +54,7 @@ use crate::checkpoint::{
 use crate::decisions::{resolve, CycleFate};
 use crate::error::PramError;
 use crate::failure::{FailureEvent, FailureKind, FailurePattern};
-use crate::memory::{MemoryLayout, SharedMemory};
+use crate::memory::SharedMemory;
 use crate::mode::WriteMode;
 use crate::trace::{NoopObserver, Observer, TraceEvent};
 use crate::unvisited::UnvisitedIndex;
@@ -230,7 +230,7 @@ pub trait ExecutionModel {
     /// one contiguous lane of at most 64 cells starting at `base`: returns
     /// `(outstanding, tracked)` bit masks where bit `j` describes cell
     /// `base + j`. Must agree cell-wise with `completion_hint` — debug
-    /// builds assert it when the batched tracker path runs. Models forward
+    /// builds assert it whenever the tracker is primed. Models forward
     /// to their program, so a program can supply a branch-free classifier
     /// the compiler autovectorizes.
     fn completion_masks(&self, base: usize, values: &[Word]) -> (u64, u64) {
@@ -309,13 +309,6 @@ pub struct Core<Pv> {
     // Primed at construction and re-primed at every run entry.
     pub(crate) tracked: bool,
     pub(crate) unvisited: UnvisitedIndex,
-    /// Lane width of the batched kernels. The default
-    /// ([`DEFAULT_BATCH_WIDTH`]) selects the lane-mask batched paths and
-    /// aligns pooled chunk claiming; `1` selects the scalar reference
-    /// paths. Behavior is identical either way (pinned by the
-    /// batched-vs-scalar differential proptests); only the instruction
-    /// stream differs.
-    pub(crate) batch_width: usize,
     // Reused per-tick buffers.
     pub(crate) tentative: Vec<Option<TentativeCycle>>,
     pub(crate) meta: Vec<ProcMeta>,
@@ -332,14 +325,6 @@ pub struct Core<Pv> {
     pub(crate) events: Vec<FailureEvent>,
 }
 
-/// Default lane width of the batched tentative-phase kernels: one `u64`
-/// mask worth of cells.
-pub const DEFAULT_BATCH_WIDTH: usize = crate::unvisited::LANE_WIDTH;
-
-/// Pooled chunk alignment is capped so huge `batch_width × interleave`
-/// combinations cannot serialize a run into one chunk.
-const MAX_CHUNK_ALIGN: usize = 1 << 16;
-
 /// Refuse a shared memory larger than the completion index can address
 /// ([`UnvisitedIndex`] stores addresses as `u32`). The machine
 /// constructors call this before allocating the memory.
@@ -355,21 +340,6 @@ pub(crate) fn check_shared_size(size: usize) -> Result<()> {
         });
     }
     Ok(())
-}
-
-fn gcd(a: usize, b: usize) -> usize {
-    let (mut a, mut b) = (a, b);
-    while b != 0 {
-        (a, b) = (b, a % b);
-    }
-    a
-}
-
-fn lcm(a: usize, b: usize) -> usize {
-    if a == 0 || b == 0 {
-        return a.max(b);
-    }
-    a / gcd(a, b) * b
 }
 
 impl<Pv: Clone + Send> Core<Pv> {
@@ -401,7 +371,6 @@ impl<Pv: Clone + Send> Core<Pv> {
             pattern: FailurePattern::new(),
             tracked: false,
             unvisited: UnvisitedIndex::new(0),
-            batch_width: DEFAULT_BATCH_WIDTH,
             tentative: vec![None; processors],
             meta: Vec::with_capacity(processors),
             fates: vec![CycleFate::Idle; processors],
@@ -422,66 +391,27 @@ impl<Pv: Clone + Send> Core<Pv> {
     /// at least one tracked cell; untracked models keep the full-scan
     /// completion check and get no index.
     fn init_tracker<M: ExecutionModel<Private = Pv>>(&mut self, model: &M) {
-        let mem = &self.mem;
-        // Both paths walk the memory in bank-aligned chunks: each chunk is
-        // one contiguous slice of its bank, so a banked layout is
-        // classified without the per-address bank mapping.
-        if self.batch_width > 1 {
-            // Batched path: 64-cell lanes classified into bit masks by
-            // `completion_masks`, whose hot implementations are
-            // branch-free (see `WriteAllTasks::completion_masks`).
-            let mut tracked_bits = 0u64;
-            self.unvisited.rebuild_from_chunks_batched(mem.size(), mem.chunks(), |base, lane| {
-                let (outstanding, tracked) = model.completion_masks(base, lane);
-                #[cfg(debug_assertions)]
-                {
-                    let expected = crate::fold_completion_masks(base, lane, |addr, value| {
-                        model.completion_hint(addr, value)
-                    });
-                    assert_eq!(
-                        (outstanding, tracked),
-                        expected,
-                        "completion_masks disagrees with completion_hint on lane at {base}",
-                    );
-                }
-                tracked_bits |= tracked;
-                outstanding
-            });
-            self.tracked = tracked_bits != 0;
-        } else {
-            // Scalar reference path (`batch_width == 1`), kept verbatim for
-            // the batched-vs-scalar differential proptests.
-            let mut any_tracked = false;
-            self.unvisited.rebuild_from_chunks(mem.size(), mem.chunks(), |addr, value| match model
-                .completion_hint(addr, value)
+        // 64-cell lanes classified into bit masks by `completion_masks`,
+        // whose hot implementations are branch-free (see
+        // `WriteAllTasks::completion_masks`).
+        let mut tracked_bits = 0u64;
+        self.unvisited.rebuild_batched(self.mem.as_slice(), |base, lane| {
+            let (outstanding, tracked) = model.completion_masks(base, lane);
+            #[cfg(debug_assertions)]
             {
-                CompletionHint::Untracked => false,
-                CompletionHint::Outstanding => {
-                    any_tracked = true;
-                    true
-                }
-                CompletionHint::Satisfied => {
-                    any_tracked = true;
-                    false
-                }
-            });
-            self.tracked = any_tracked;
-        }
-    }
-
-    /// Chunk alignment for the pooled tentative phase: a multiple of the
-    /// batch width (so a worker's chunk is whole lanes) and, on banked
-    /// layouts, of the bank interleave (so a lane never straddles a bank
-    /// boundary inside a chunk). Capped at a constant so pathological
-    /// `batch_width × interleave` combinations cannot serialize a run into
-    /// one chunk.
-    pub(crate) fn chunk_align(&self) -> usize {
-        let base = self.batch_width.max(1);
-        let align = match self.mem.layout() {
-            MemoryLayout::Banked { interleave, .. } => lcm(base, interleave),
-            _ => base,
-        };
-        align.min(MAX_CHUNK_ALIGN)
+                let expected = crate::fold_completion_masks(base, lane, |addr, value| {
+                    model.completion_hint(addr, value)
+                });
+                assert_eq!(
+                    (outstanding, tracked),
+                    expected,
+                    "completion_masks disagrees with completion_hint on lane at {base}",
+                );
+            }
+            tracked_bits |= tracked;
+            outstanding
+        });
+        self.tracked = tracked_bits != 0;
     }
 
     /// O(1) completion test for tracked models (the index is empty), full
@@ -887,7 +817,6 @@ where
     {
         let adversary = save_adversary(adversary)?;
         let (budget_reads, budget_writes) = model.checkpoint_budget();
-        let (bank_reads, bank_writes) = self.mem.bank_counters().into_iter().unzip();
         Ok(Checkpoint {
             version: CHECKPOINT_VERSION,
             model: M::MODEL.to_string(),
@@ -896,11 +825,9 @@ where
             budget_reads,
             budget_writes,
             layout: self.mem.layout(),
-            // The merged, address-ordered image — the same bytes whatever
-            // the physical layout.
-            mem: self.mem.to_vec(),
-            bank_reads,
-            bank_writes,
+            mem: self.mem.as_slice().to_vec(),
+            bank_reads: self.mem.bank_reads().to_vec(),
+            bank_writes: self.mem.bank_writes().to_vec(),
             stats: self.stats,
             procs: self.proc_checkpoints(),
             pattern: self.pattern.clone(),
@@ -915,7 +842,7 @@ where
     /// Append the machine-state frame of a checkpoint of the core (and
     /// `adversary`) to `out` and return its length: the bytes
     /// `save_checkpoint(..)?.encode_state_into(out)` would write, encoded
-    /// straight from the live memory banks and failure pattern instead of
+    /// straight from the live memory and failure pattern instead of
     /// from copies of them. The caller appends the policy payload
     /// ([`Checkpoint::encode_policy_into`]) to complete the frame.
     ///
@@ -946,7 +873,7 @@ where
         Ok(put_state_frame(
             out,
             header,
-            (self.mem.size(), self.mem.chunks().map(|(_, cells)| cells)),
+            self.mem.as_slice(),
             self.mem.bank_reads(),
             self.mem.bank_writes(),
             self.pattern.events(),

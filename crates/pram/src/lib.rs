@@ -83,14 +83,14 @@ pub use adversary::{
 pub use checkpoint::{Checkpoint, ProcCheckpoint, CHECKPOINT_VERSION};
 pub use cycle::{CycleBudget, ReadSet, Step, ValueSet, WriteSet, MAX_READS, MAX_WRITES};
 pub use error::PramError;
-pub use exec::{ExecutionModel, DEFAULT_BATCH_WIDTH};
+pub use exec::ExecutionModel;
 pub use failure::{
     DecisionRecorder, FailureEvent, FailureKind, FailurePattern, PatternError, ScheduledAdversary,
 };
 pub use machine::{
     ExecMode, Machine, PanicPolicy, RunControl, RunLimits, RunSpec, RunStatus, SharedPool,
 };
-pub use memory::{CellChunks, MemoryLayout, SharedMemory};
+pub use memory::{MemoryLayout, SharedMemory};
 pub use mode::WriteMode;
 pub use policy::{PolicyConfig, PolicyEngine, PolicyKind};
 pub use region::{LayoutBuilder, Region};
@@ -241,9 +241,8 @@ pub trait Program {
     /// would report [`CompletionHint::Outstanding`], set in `tracked` iff
     /// it would report anything but [`CompletionHint::Untracked`].
     ///
-    /// The machine's batched kernels (the default; see
-    /// [`Machine::set_batch_width`](crate::Machine::set_batch_width)) prime
-    /// the completion tracker through this method, 64 cells per call. The
+    /// The machine primes the completion tracker through this method, 64
+    /// cells per call. The
     /// default folds `completion_hint` cell by cell and is always correct;
     /// programs on the hot path override it with a branch-free classifier
     /// the compiler can autovectorize (see `WriteAllTasks` in `rfsp-core`).

@@ -128,11 +128,10 @@ impl<'p, P: Program> Machine<'p, P> {
         Self::with_layout(program, processors, budget, MemoryLayout::Flat)
     }
 
-    /// [`Machine::new`] with an explicit [`MemoryLayout`]. The layout is a
-    /// physical property only — addresses, CRCW semantics and results are
-    /// identical to the flat machine — but reads and writes are charged to
-    /// per-bank counters and the Omega network meter (`rfsp-net`) routes
-    /// packets to the cells' actual banks.
+    /// [`Machine::new`] with an explicit [`MemoryLayout`]. Addresses, CRCW
+    /// semantics and results are identical to the flat machine; reads and
+    /// writes are charged to per-bank counters, and the Omega network
+    /// meter (`rfsp-net`) routes packets to the addresses' banks.
     ///
     /// # Errors
     ///
@@ -167,19 +166,6 @@ impl<'p, P: Program> Machine<'p, P> {
     /// Set the concurrent-write semantics (default: COMMON).
     pub fn set_write_mode(&mut self, mode: WriteMode) -> &mut Self {
         self.core.mode = mode;
-        self
-    }
-
-    /// Override the batched-kernel lane width (default:
-    /// [`DEFAULT_BATCH_WIDTH`](crate::DEFAULT_BATCH_WIDTH)). `1` selects
-    /// the scalar reference kernels; any other value selects the lane-mask
-    /// batched kernels and sets the pooled engine's chunk alignment.
-    /// Behavior is identical for every width — only the instruction stream
-    /// and chunk boundaries differ (pinned by the batched-vs-scalar
-    /// differential proptests); exposed for testing and benchmarking via
-    /// `writeall --batch-width`.
-    pub fn set_batch_width(&mut self, width: usize) -> &mut Self {
-        self.core.batch_width = width.max(1);
         self
     }
 
@@ -436,14 +422,11 @@ where
     P::Private: Send,
 {
     let p = core.procs.len();
-    // Align worker chunks to the batch width (× bank interleave on banked
-    // layouts): whole lanes per worker, no lane split across banks.
-    let align = core.chunk_align();
     let (mem, cycle) = (&core.mem, core.cycle);
     let statuses: &[ProcStatus] = &core.procs.status;
     let states = SendPtr::new(core.procs.state.as_mut_ptr());
     let tentative = SendPtr::new(core.tentative.as_mut_ptr());
-    pool.run_tick(p, align, &move |start: usize, end: usize| {
+    pool.run_tick(p, &move |start: usize, end: usize| {
         #[allow(clippy::needless_range_loop)] // `i` also offsets the raw SoA pointers
         for i in start..end {
             // SAFETY: the pool's cursor hands out disjoint [start, end)

@@ -1,4 +1,5 @@
-//! Reliable shared memory, optionally partitioned into interleaved banks.
+//! Reliable shared memory: one word-addressed array with per-bank
+//! charge counters.
 //!
 //! Per the model (§2.1 item 3 and §2.3), shared memory is not affected by
 //! processor failures; word writes are atomic. The memory also keeps
@@ -11,17 +12,16 @@
 //!
 //! # Layouts
 //!
-//! A [`MemoryLayout`] chooses the physical partitioning of the address
-//! space. [`MemoryLayout::Flat`] is the classic single array.
-//! [`MemoryLayout::Banked`] splits the cells across `banks` modules in
-//! round-robin blocks of `interleave` consecutive addresses — the module
-//! organization the machine's Omega interconnect (`rfsp-net`) routes
-//! against. Each bank keeps its **own** read/write counters, charged at the
-//! bank the address maps to; the memory-wide totals ([`read_count`],
-//! [`write_count`]) are merged on demand by summing the banks. The layout
-//! is a *physical* property only: addresses, values, CRCW semantics and the
-//! merged totals are identical across layouts by construction (pinned by
-//! the flat-vs-banked differential tests).
+//! The cells are always one contiguous array in address order. A
+//! [`MemoryLayout`] only decides which bank *counter* an access charges.
+//! [`MemoryLayout::Flat`] has one counter pair. [`MemoryLayout::Banked`]
+//! deals the addresses to `banks` modules in round-robin blocks of
+//! `interleave` consecutive addresses — the module organization the
+//! machine's Omega interconnect (`rfsp-net`) routes against — and keeps one
+//! read/write counter pair per module; the memory-wide totals
+//! ([`read_count`], [`write_count`]) are their sums. Addresses, values,
+//! CRCW semantics and the merged totals are identical across layouts by
+//! construction (pinned by the flat-vs-banked differential tests).
 //!
 //! [`read_count`]: SharedMemory::read_count
 //! [`write_count`]: SharedMemory::write_count
@@ -34,8 +34,8 @@ use crate::word::Word;
 
 /// Physical partitioning of the shared address space.
 ///
-/// The layout never changes observable program semantics — only where
-/// cells physically live and which per-bank counter an access charges.
+/// The layout never changes observable program semantics — only which
+/// per-bank counter an access charges.
 #[derive(Clone, Copy, Default, PartialEq, Eq, Debug, Serialize, Deserialize)]
 pub enum MemoryLayout {
     /// One contiguous array, one counter pair. The default.
@@ -89,18 +89,6 @@ impl MemoryLayout {
         }
     }
 
-    /// `(bank, slot-within-bank)` of `addr`. Callers check bounds.
-    #[inline]
-    fn locate(&self, addr: usize) -> (usize, usize) {
-        match *self {
-            MemoryLayout::Flat => (0, addr),
-            MemoryLayout::Banked { banks, interleave } => {
-                let block = addr / interleave;
-                (block % banks, (block / banks) * interleave + addr % interleave)
-            }
-        }
-    }
-
     /// Check the layout parameters.
     ///
     /// # Errors
@@ -121,17 +109,9 @@ impl MemoryLayout {
     }
 }
 
-/// One memory module: its cells plus its own charge counters.
-#[derive(Clone, PartialEq, Eq, Debug)]
-struct Bank {
-    cells: Vec<Word>,
-    reads: u64,
-    writes: u64,
-}
-
 /// The machine's shared memory: an array of [`Word`]s, all zero until
-/// written (the paper assumes non-input memory is cleared), physically
-/// organized by a [`MemoryLayout`].
+/// written (the paper assumes non-input memory is cleared), with one
+/// read/write counter pair per bank of its [`MemoryLayout`].
 ///
 /// `peek`/`poke` are *meta-level* accessors used by harnesses, adversaries
 /// and completion predicates — they bypass accounting. Programs only touch
@@ -139,8 +119,9 @@ struct Bank {
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct SharedMemory {
     layout: MemoryLayout,
-    size: usize,
-    banks: Vec<Bank>,
+    cells: Vec<Word>,
+    reads: Vec<u64>,
+    writes: Vec<u64>,
 }
 
 impl SharedMemory {
@@ -157,51 +138,40 @@ impl SharedMemory {
     /// (see [`MemoryLayout::validate`]).
     pub fn with_layout(size: usize, layout: MemoryLayout) -> Result<Self, PramError> {
         layout.validate()?;
-        let banks = match layout {
-            MemoryLayout::Flat => vec![Bank { cells: vec![0; size], reads: 0, writes: 0 }],
-            MemoryLayout::Banked { banks, interleave } => (0..banks)
-                .map(|b| Bank {
-                    cells: vec![0; bank_len(size, banks, interleave, b)],
-                    reads: 0,
-                    writes: 0,
-                })
-                .collect(),
-        };
-        Ok(SharedMemory { layout, size, banks })
+        let banks = layout.bank_count();
+        Ok(SharedMemory {
+            layout,
+            cells: vec![0; size],
+            reads: vec![0; banks],
+            writes: vec![0; banks],
+        })
     }
 
     /// Number of cells.
     pub fn size(&self) -> usize {
-        self.size
+        self.cells.len()
     }
 
-    /// The physical layout.
+    /// The bank layout.
     pub fn layout(&self) -> MemoryLayout {
         self.layout
     }
 
     /// Number of memory modules.
     pub fn bank_count(&self) -> usize {
-        self.banks.len()
+        self.reads.len()
     }
 
-    /// The module address `addr` maps to (layout-aware; used by the
-    /// network meter to route packets to the cell's *actual* bank).
+    /// The module address `addr` maps to (used by the network meter to
+    /// route packets to the cell's bank).
     #[inline]
     pub fn bank_of(&self, addr: usize) -> usize {
         self.layout.bank_of(addr)
     }
 
-    /// `(bank, slot-within-bank)` of `addr`. Callers check bounds.
-    #[inline]
-    fn locate(&self, addr: usize) -> (usize, usize) {
-        self.layout.locate(addr)
-    }
-
     /// Rebuild a memory from checkpointed cells and per-bank
     /// instrumentation counters
-    /// ([`Checkpoint`](crate::checkpoint::Checkpoint) restore). `cells` is
-    /// the merged, address-ordered image regardless of layout.
+    /// ([`Checkpoint`](crate::checkpoint::Checkpoint) restore).
     ///
     /// # Errors
     ///
@@ -236,14 +206,9 @@ impl SharedMemory {
             });
         }
         let mut mem = Self::with_layout(size, layout)?;
-        for (addr, &v) in cells.iter().enumerate() {
-            let (b, s) = mem.locate(addr);
-            mem.banks[b].cells[s] = v;
-        }
-        for (bank, (&r, &w)) in mem.banks.iter_mut().zip(bank_reads.iter().zip(bank_writes)) {
-            bank.reads = r;
-            bank.writes = w;
-        }
+        mem.cells.copy_from_slice(cells);
+        mem.reads.copy_from_slice(bank_reads);
+        mem.writes.copy_from_slice(bank_writes);
         Ok(mem)
     }
 
@@ -253,13 +218,10 @@ impl SharedMemory {
     ///
     /// [`PramError::AddressOutOfBounds`] if `addr` is outside memory.
     pub(crate) fn store(&mut self, addr: usize, value: Word) -> Result<(), PramError> {
-        if addr >= self.size {
-            return Err(PramError::AddressOutOfBounds { addr, size: self.size });
-        }
-        let (b, s) = self.locate(addr);
-        let bank = &mut self.banks[b];
-        bank.cells[s] = value;
-        bank.writes += 1;
+        let size = self.cells.len();
+        let cell = self.cells.get_mut(addr).ok_or(PramError::AddressOutOfBounds { addr, size })?;
+        *cell = value;
+        self.writes[self.layout.bank_of(addr)] += 1;
         Ok(())
     }
 
@@ -271,11 +233,10 @@ impl SharedMemory {
     pub(crate) fn charge_reads_at(&mut self, addrs: &[usize]) {
         match self.layout {
             // Flat fast path: one counter, no per-address mapping.
-            MemoryLayout::Flat => self.banks[0].reads += addrs.len() as u64,
+            MemoryLayout::Flat => self.reads[0] += addrs.len() as u64,
             MemoryLayout::Banked { .. } => {
                 for &addr in addrs {
-                    let (b, _) = self.locate(addr);
-                    self.banks[b].reads += 1;
+                    self.reads[self.layout.bank_of(addr)] += 1;
                 }
             }
         }
@@ -286,12 +247,15 @@ impl SharedMemory {
     /// # Panics
     ///
     /// Panics if `addr` is out of bounds — meta-level callers are expected
-    /// to know the layout.
+    /// to know the memory size.
     #[inline]
     pub fn peek(&self, addr: usize) -> Word {
-        assert!(addr < self.size, "address {addr} out of bounds for memory of {} cells", self.size);
-        let (b, s) = self.locate(addr);
-        self.banks[b].cells[s]
+        assert!(
+            addr < self.size(),
+            "address {addr} out of bounds for memory of {} cells",
+            self.size()
+        );
+        self.cells[addr]
     }
 
     /// Uncharged write (input initialization and test setup).
@@ -301,105 +265,42 @@ impl SharedMemory {
     /// Panics if `addr` is out of bounds.
     #[inline]
     pub fn poke(&mut self, addr: usize, value: Word) {
-        assert!(addr < self.size, "address {addr} out of bounds for memory of {} cells", self.size);
-        let (b, s) = self.locate(addr);
-        self.banks[b].cells[s] = value;
-    }
-
-    /// View of the raw cells (uncharged). Only the flat layout stores its
-    /// cells contiguously in address order; use [`SharedMemory::to_vec`]
-    /// or [`SharedMemory::chunks`] for layout-independent access.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a banked layout.
-    pub fn as_slice(&self) -> &[Word] {
         assert!(
-            matches!(self.layout, MemoryLayout::Flat),
-            "as_slice requires the flat layout ({} is banked); use to_vec()/chunks()",
-            self.layout
+            addr < self.size(),
+            "address {addr} out of bounds for memory of {} cells",
+            self.size()
         );
-        &self.banks[0].cells
+        self.cells[addr] = value;
     }
 
-    /// Merged, address-ordered copy of all cells, any layout.
-    pub fn to_vec(&self) -> Vec<Word> {
-        let mut out = Vec::with_capacity(self.size);
-        for (_, chunk) in self.chunks() {
-            out.extend_from_slice(chunk);
-        }
-        out
-    }
-
-    /// Iterate the cells in ascending address order as bank-aligned
-    /// contiguous chunks `(base_addr, cells)`. The flat layout yields one
-    /// chunk; a banked layout yields one chunk per interleave block, each
-    /// a contiguous slice of its bank. This is the allocation-free way to
-    /// scan memory without paying the per-address bank mapping.
-    pub fn chunks(&self) -> CellChunks<'_> {
-        CellChunks { mem: self, next_base: 0 }
+    /// All cells in address order (uncharged), under every layout.
+    pub fn as_slice(&self) -> &[Word] {
+        &self.cells
     }
 
     /// Total charged reads so far, merged across banks.
     pub fn read_count(&self) -> u64 {
-        self.banks.iter().map(|b| b.reads).sum()
+        self.reads.iter().sum()
     }
 
     /// Total charged (committed) writes so far, merged across banks.
     pub fn write_count(&self) -> u64 {
-        self.banks.iter().map(|b| b.writes).sum()
+        self.writes.iter().sum()
     }
 
     /// Per-bank `(reads, writes)` counters, indexed by bank.
     pub fn bank_counters(&self) -> Vec<(u64, u64)> {
-        self.banks.iter().map(|b| (b.reads, b.writes)).collect()
+        self.reads.iter().copied().zip(self.writes.iter().copied()).collect()
     }
 
-    /// Per-bank charged read counters, in bank order, without collecting.
-    pub(crate) fn bank_reads(&self) -> impl ExactSizeIterator<Item = u64> + '_ {
-        self.banks.iter().map(|b| b.reads)
+    /// Per-bank charged read counters, in bank order.
+    pub(crate) fn bank_reads(&self) -> &[u64] {
+        &self.reads
     }
 
-    /// Per-bank charged write counters, in bank order, without collecting.
-    pub(crate) fn bank_writes(&self) -> impl ExactSizeIterator<Item = u64> + '_ {
-        self.banks.iter().map(|b| b.writes)
-    }
-}
-
-/// Cells bank `b` owns under a block-cyclic layout: `full` whole rounds
-/// plus the tail round's partial deal.
-fn bank_len(size: usize, banks: usize, interleave: usize, b: usize) -> usize {
-    let round = banks * interleave;
-    let full = size / round * interleave;
-    let rem = size % round;
-    full + rem.saturating_sub(b * interleave).min(interleave)
-}
-
-/// Iterator over [`SharedMemory::chunks`]: `(base_addr, cells)` runs in
-/// ascending address order.
-pub struct CellChunks<'a> {
-    mem: &'a SharedMemory,
-    next_base: usize,
-}
-
-impl<'a> Iterator for CellChunks<'a> {
-    type Item = (usize, &'a [Word]);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let base = self.next_base;
-        let rest = self.mem.size - base;
-        if rest == 0 {
-            return None;
-        }
-        let (bank, slot) = self.mem.locate(base);
-        let len = match self.mem.layout {
-            MemoryLayout::Flat => rest,
-            // Chunks start on block boundaries: one whole block, or the
-            // memory's tail.
-            MemoryLayout::Banked { interleave, .. } => interleave.min(rest),
-        };
-        self.next_base = base + len;
-        Some((base, &self.mem.banks[bank].cells[slot..slot + len]))
+    /// Per-bank charged write counters, in bank order.
+    pub(crate) fn bank_writes(&self) -> &[u64] {
+        &self.writes
     }
 }
 
@@ -464,7 +365,7 @@ mod tests {
         for addr in 0..13 {
             assert_eq!(flat.peek(addr), banked.peek(addr), "addr {addr}");
         }
-        assert_eq!(banked.to_vec(), flat.as_slice());
+        assert_eq!(banked.as_slice(), flat.as_slice());
         assert_eq!(banked.read_count(), flat.read_count());
         assert_eq!(banked.write_count(), flat.write_count());
     }
@@ -486,39 +387,6 @@ mod tests {
         assert_eq!(m.bank_counters(), vec![(1, 1), (1, 2)]);
         assert_eq!(m.read_count(), 2);
         assert_eq!(m.write_count(), 3);
-    }
-
-    /// Chunk iteration covers the address space in order, bank-aligned.
-    #[test]
-    fn chunks_cover_in_address_order() {
-        let layout = MemoryLayout::Banked { banks: 2, interleave: 3 };
-        let mut m = SharedMemory::with_layout(10, layout).unwrap();
-        for addr in 0..10 {
-            m.poke(addr, addr as Word);
-        }
-        let mut seen = Vec::new();
-        let mut next = 0;
-        for (base, cells) in m.chunks() {
-            assert_eq!(base, next);
-            next += cells.len();
-            seen.extend_from_slice(cells);
-        }
-        assert_eq!(next, 10);
-        assert_eq!(seen, (0..10).collect::<Vec<Word>>());
-    }
-
-    /// Bank sizing handles a tail that doesn't fill a full round.
-    #[test]
-    fn uneven_sizes_split_exactly() {
-        for size in 0..40 {
-            for banks in 1..5 {
-                for interleave in 1..4 {
-                    let total: usize =
-                        (0..banks).map(|b| bank_len(size, banks, interleave, b)).sum();
-                    assert_eq!(total, size, "size={size} banks={banks} ilv={interleave}");
-                }
-            }
-        }
     }
 
     #[test]
@@ -556,7 +424,7 @@ mod tests {
     fn from_parts_restores_banked_image() {
         let layout = MemoryLayout::Banked { banks: 2, interleave: 1 };
         let m = SharedMemory::from_parts(layout, 4, &[9, 8, 7, 6], &[1, 2], &[3, 4]).unwrap();
-        assert_eq!(m.to_vec(), vec![9, 8, 7, 6]);
+        assert_eq!(m.as_slice(), &[9, 8, 7, 6]);
         assert_eq!(m.bank_counters(), vec![(1, 3), (2, 4)]);
         assert_eq!(m.read_count(), 3);
         assert_eq!(m.write_count(), 7);

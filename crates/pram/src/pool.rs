@@ -9,8 +9,10 @@
 //!
 //! * each tick the coordinator publishes one *job* (a borrowed closure
 //!   processing a half-open index range) and bumps a shared epoch counter;
-//! * workers claim chunks of the index space from a shared atomic cursor
-//!   (`fetch_add`), so a straggler chunk cannot serialize the tick;
+//! * workers claim chunks of the index space (the processors) from a
+//!   shared atomic cursor (`fetch_add`), so a straggler chunk cannot
+//!   serialize the tick; every chunk is a whole number of 64-index grains,
+//!   whatever the memory layout;
 //! * the coordinator waits until every worker has drained the cursor, then
 //!   reclaims exclusive access to the machine.
 //!
@@ -134,6 +136,11 @@ impl<T> DerefMut for CachePadded<T> {
         &mut self.0
     }
 }
+
+/// Granularity of a worker's claim: every chunk is a whole number of
+/// grains (the last one may be shorter), so workers never claim fewer
+/// than 64 indices at a time.
+const CHUNK_GRAIN: usize = 64;
 
 /// The per-tick work item: process indices `[start, end)`.
 type Job<'a> = dyn Fn(usize, usize) -> Result<(), PramError> + Sync + 'a;
@@ -316,18 +323,11 @@ impl TickPool {
     /// logical core, the coordinator runs the job itself — identical
     /// semantics, no wakeups.
     ///
-    /// Every chunk boundary falls on a multiple of `align` (the final chunk
-    /// may be shorter): the batched kernels pass their batch width — times
-    /// the bank interleave on banked layouts — so one worker's chunk is
-    /// whole lanes and never splits a lane across banks. `align` is also
-    /// the minimum chunk size, which keeps tiny index spaces with many
-    /// threads from degenerating into per-index claims.
-    pub(crate) fn run_tick(
-        &self,
-        len: usize,
-        align: usize,
-        job: &Job<'_>,
-    ) -> Result<(), PramError> {
+    /// Every chunk boundary falls on a multiple of [`CHUNK_GRAIN`] (the
+    /// final chunk may be shorter), which is also the minimum chunk size:
+    /// a tiny index space with many threads does not degenerate into
+    /// per-index claims.
+    pub(crate) fn run_tick(&self, len: usize, job: &Job<'_>) -> Result<(), PramError> {
         if len == 0 {
             return Ok(());
         }
@@ -341,21 +341,20 @@ impl TickPool {
                 Err(PramError::WorkerPanic { pid: None, detail: panic_detail(payload.as_ref()) })
             })?;
         } else {
-            self.run_pooled(len, align, job)?;
+            self.run_pooled(len, job)?;
         }
         self.observe(start.elapsed().as_nanos() as u64, len);
         Ok(())
     }
 
     /// The pooled half of [`TickPool::run_tick`]: publish, wake, wait.
-    fn run_pooled(&self, len: usize, align: usize, job: &Job<'_>) -> Result<(), PramError> {
+    fn run_pooled(&self, len: usize, job: &Job<'_>) -> Result<(), PramError> {
         // Chunks are sized to give each worker several claims per tick —
         // dynamic enough to absorb uneven cycles, coarse enough to keep
-        // cursor traffic negligible — then rounded up to the alignment.
-        // The cursor starts at 0 and advances in whole chunks, so an
-        // aligned chunk size makes every boundary aligned.
-        let align = align.max(1);
-        let chunk = len.div_ceil(self.threads * 4).max(1).next_multiple_of(align);
+        // cursor traffic negligible — then rounded up to the grain. The
+        // cursor starts at 0 and advances in whole chunks, so every
+        // boundary is a multiple of the grain.
+        let chunk = len.div_ceil(self.threads * 4).max(1).next_multiple_of(CHUNK_GRAIN);
         self.cursor.store(0, Ordering::Relaxed);
         self.stop.store(false, Ordering::Relaxed);
         self.len.store(len, Ordering::Relaxed);
@@ -544,7 +543,7 @@ mod tests {
                     }
                     Ok(())
                 };
-                pool.run_tick(hits.len(), 1, &job).unwrap();
+                pool.run_tick(hits.len(), &job).unwrap();
             }
             assert!(pool.total_claims() > 0, "pooled path must claim chunks");
         });
@@ -573,12 +572,12 @@ mod tests {
                 Ok(())
             };
             for _ in 0..8 {
-                pool.run_tick(hits.len(), 1, &job).unwrap();
+                pool.run_tick(hits.len(), &job).unwrap();
             }
             assert_eq!(pool.total_claims(), 0, "single-core host must inline every job");
             // Inline errors surface exactly like pooled ones.
             let err = pool
-                .run_tick(4, 1, &|_, _| Err(PramError::AddressOutOfBounds { addr: 9, size: 4 }))
+                .run_tick(4, &|_, _| Err(PramError::AddressOutOfBounds { addr: 9, size: 4 }))
                 .unwrap_err();
             assert!(matches!(err, PramError::AddressOutOfBounds { .. }));
         });
@@ -596,14 +595,15 @@ mod tests {
             for rank in 0..2 {
                 scope.spawn(move || p.worker(rank));
             }
+            // Several grains, so the failing chunks are claimed by workers.
             let job = |start: usize, _end: usize| {
-                if start >= 8 {
-                    Err(PramError::AddressOutOfBounds { addr: start, size: 8 })
+                if start >= CHUNK_GRAIN {
+                    Err(PramError::AddressOutOfBounds { addr: start, size: CHUNK_GRAIN })
                 } else {
                     Ok(())
                 }
             };
-            pool.run_tick(64, 1, &job).unwrap_err()
+            pool.run_tick(4 * CHUNK_GRAIN, &job).unwrap_err()
         });
         assert!(matches!(err, PramError::AddressOutOfBounds { .. }));
     }
@@ -630,7 +630,7 @@ mod tests {
                 }
                 Ok(())
             };
-            let err = pool.run_tick(64, 1, &bomb).unwrap_err();
+            let err = pool.run_tick(64, &bomb).unwrap_err();
             assert!(
                 matches!(&err, PramError::WorkerPanic { pid: None, detail }
                     if detail.contains("injected worker fault")),
@@ -643,7 +643,7 @@ mod tests {
                 }
                 Ok(())
             };
-            pool.run_tick(hits.len(), 1, &job).unwrap();
+            pool.run_tick(hits.len(), &job).unwrap();
         });
         for h in &hits {
             assert_eq!(h.load(Ordering::Relaxed), 1);
@@ -651,39 +651,45 @@ mod tests {
         std::panic::set_hook(prev);
     }
 
-    /// Chunk boundaries fall on multiples of `align`, the minimum chunk is
-    /// one align unit, and a tiny index space with many threads no longer
-    /// degenerates into 1-index claims (`len.div_ceil(threads * 4)` alone
+    /// Chunk boundaries fall on multiples of [`CHUNK_GRAIN`], interior
+    /// chunks are whole grains, and a tiny index space with many threads
+    /// still claims at least one grain (`len.div_ceil(threads * 4)` alone
     /// yields chunk = 1 for len = 7, threads = 3).
     #[test]
     fn chunks_are_aligned_and_clamped() {
-        let pool = TickPool::with_tuning(3, pooled_tuning());
-        let claims = Mutex::new(Vec::new());
-        let hits: Vec<AtomicU64> = (0..7).map(|_| AtomicU64::new(0)).collect();
-        std::thread::scope(|scope| {
-            let _guard = PoolShutdown(&pool);
-            let p = &pool;
-            for rank in 0..3 {
-                scope.spawn(move || p.worker(rank));
-            }
-            let job = |start: usize, end: usize| {
-                claims.lock().unwrap().push((start, end));
-                for h in &hits[start..end] {
-                    h.fetch_add(1, Ordering::Relaxed);
+        for len in [7, 5 * CHUNK_GRAIN + 13] {
+            // A fresh pool per job: shutting one down is final.
+            let pool = TickPool::with_tuning(3, pooled_tuning());
+            let claims = Mutex::new(Vec::new());
+            let hits: Vec<AtomicU64> = (0..len).map(|_| AtomicU64::new(0)).collect();
+            std::thread::scope(|scope| {
+                let _guard = PoolShutdown(&pool);
+                let p = &pool;
+                for rank in 0..3 {
+                    scope.spawn(move || p.worker(rank));
                 }
-                Ok(())
-            };
-            pool.run_tick(hits.len(), 4, &job).unwrap();
-        });
-        for h in &hits {
-            assert_eq!(h.load(Ordering::Relaxed), 1, "every index exactly once");
-        }
-        let claims = claims.into_inner().unwrap();
-        for &(start, end) in &claims {
-            assert_eq!(start % 4, 0, "chunk start {start} not aligned");
-            // Non-final chunks span exactly whole align units.
-            assert!(end == hits.len() || (end - start) % 4 == 0, "ragged interior chunk");
-            assert!(end - start >= 4 || end == hits.len(), "chunk below one align unit");
+                let job = |start: usize, end: usize| {
+                    claims.lock().unwrap().push((start, end));
+                    for h in &hits[start..end] {
+                        h.fetch_add(1, Ordering::Relaxed);
+                    }
+                    Ok(())
+                };
+                pool.run_tick(len, &job).unwrap();
+            });
+            for h in &hits {
+                assert_eq!(h.load(Ordering::Relaxed), 1, "every index exactly once");
+            }
+            let claims = claims.into_inner().unwrap();
+            if len > CHUNK_GRAIN {
+                assert!(claims.len() > 1, "a multi-grain job is split: {claims:?}");
+            }
+            for &(start, end) in &claims {
+                assert_eq!(start % CHUNK_GRAIN, 0, "chunk start {start} not aligned");
+                // Non-final chunks span exactly whole grains.
+                assert!(end == len || (end - start) % CHUNK_GRAIN == 0, "ragged interior chunk");
+                assert!(end - start >= CHUNK_GRAIN || end == len, "chunk below one grain");
+            }
         }
     }
 
@@ -696,7 +702,7 @@ mod tests {
             for rank in 0..2 {
                 scope.spawn(move || p.worker(rank));
             }
-            pool.run_tick(0, 64, &|_, _| Ok(())).unwrap();
+            pool.run_tick(0, &|_, _| Ok(())).unwrap();
         });
     }
 }

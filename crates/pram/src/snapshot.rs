@@ -144,50 +144,25 @@ impl<'a> SnapshotView<'a> {
         }
     }
 
-    // The scan fallbacks run inside the tentative phase, so they iterate
-    // the memory's bank-aligned chunks ([`SharedMemory::chunks`]): each
-    // chunk is one contiguous slice of its bank, avoiding a per-address
-    // bank mapping on banked layouts (and a per-address bounds check on
-    // flat ones).
-
     fn scan_count(&self, region: crate::Region) -> usize {
-        let mut count = 0;
-        for (_, cells) in self.region_chunks(region) {
-            count += cells.iter().filter(|&&v| v == 0).count();
-        }
-        count
+        self.region_cells(region).iter().filter(|&&v| v == 0).count()
     }
 
-    fn scan_nth(&self, region: crate::Region, mut k: usize) -> Option<usize> {
-        for (base, cells) in self.region_chunks(region) {
-            for (off, &v) in cells.iter().enumerate() {
-                if v == 0 {
-                    if k == 0 {
-                        return Some(base + off);
-                    }
-                    k -= 1;
-                }
-            }
-        }
-        None
+    fn scan_nth(&self, region: crate::Region, k: usize) -> Option<usize> {
+        let cells = self.region_cells(region);
+        cells
+            .iter()
+            .enumerate()
+            .filter(|&(_, &v)| v == 0)
+            .nth(k)
+            .map(|(off, _)| region.base() + off)
     }
 
-    /// The memory's bank-aligned chunks clipped to `region`, in ascending
-    /// address order.
-    fn region_chunks(
-        &self,
-        region: crate::Region,
-    ) -> impl Iterator<Item = (usize, &'a [Word])> + 'a {
-        let (start, end) = (region.base(), region.base() + region.len());
-        self.mem
-            .chunks()
-            .skip_while(move |&(base, cells)| base + cells.len() <= start)
-            .take_while(move |&(base, _)| base < end)
-            .map(move |(base, cells)| {
-                let lo = start.max(base) - base;
-                let hi = (end.min(base + cells.len())) - base;
-                (base + lo, &cells[lo..hi])
-            })
+    /// The cells of `region` that lie inside memory, in address order.
+    fn region_cells(&self, region: crate::Region) -> &'a [Word] {
+        let cells = self.mem.as_slice();
+        let end = (region.base() + region.len()).min(cells.len());
+        &cells[region.base().min(end)..end]
     }
 }
 
@@ -357,8 +332,8 @@ impl<'p, P: SnapshotProgram> SnapshotMachine<'p, P> {
     /// [`SnapshotMachine::new`] with an explicit [`MemoryLayout`] — the
     /// snapshot counterpart of
     /// [`Machine::with_layout`](crate::Machine::with_layout); the layout
-    /// changes only where cells physically live and which bank counters
-    /// writes charge (snapshot reads stay uncharged).
+    /// changes only which bank counters writes charge (snapshot reads
+    /// stay uncharged).
     ///
     /// # Errors
     ///
@@ -386,15 +361,6 @@ impl<'p, P: SnapshotProgram> SnapshotMachine<'p, P> {
         // checks COMMON semantics.
         let core = Core::new(&model, processors, mem, SNAPSHOT_WRITE_MODE, write_budget);
         Ok(SnapshotMachine { model, core })
-    }
-
-    /// Override the batched-kernel lane width — the snapshot counterpart of
-    /// [`Machine::set_batch_width`](crate::Machine::set_batch_width), with
-    /// the same contract: `1` selects the scalar reference path, any other
-    /// value the lane-mask batched path; behavior is identical either way.
-    pub fn set_batch_width(&mut self, width: usize) -> &mut Self {
-        self.core.batch_width = width.max(1);
-        self
     }
 
     /// The shared memory (uncharged inspection).

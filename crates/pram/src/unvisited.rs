@@ -19,6 +19,10 @@
 //!   inside a [`Region`], as one contiguous [`AddrSlice`] (two binary
 //!   searches).
 //!
+//! The machine primes the index at construction and at every run entry
+//! with [`rebuild_batched`](UnvisitedIndex::rebuild_batched), which
+//! classifies the memory's flat cell array 64 cells per lane.
+//!
 //! # Representation
 //!
 //! A dense `items` vector of live addresses plus a `pos` position map
@@ -62,8 +66,8 @@ pub(crate) const MAX_INDEXED_CELLS: usize = u32::MAX as usize;
 const ABSENT: u32 = u32::MAX;
 
 /// Width of one lane of the batched rebuild
-/// ([`UnvisitedIndex::rebuild_from_chunks_batched`]): cells are classified
-/// 64 at a time into one `u64` bit mask.
+/// ([`UnvisitedIndex::rebuild_batched`]): cells are classified 64 at a
+/// time into one `u64` bit mask.
 pub const LANE_WIDTH: usize = 64;
 
 /// A dense set of shared-memory addresses in ascending order with O(1)
@@ -136,71 +140,40 @@ impl UnvisitedIndex {
         self.seal();
     }
 
-    /// [`UnvisitedIndex::rebuild`] fed from bank-aligned cell chunks
-    /// (`(base_addr, cells)` in ascending address order, e.g.
-    /// [`SharedMemory::chunks`](crate::SharedMemory::chunks)): the
-    /// classifier gets each cell's value directly from the contiguous
-    /// chunk, so a banked memory is reclassified without paying the
-    /// per-address bank mapping. O(size).
+    /// [`UnvisitedIndex::rebuild`] over the whole memory `cells`, batched:
+    /// the cells are processed in lanes of [`LANE_WIDTH`] cells (the last
+    /// may be shorter), and the classifier answers per lane with one `u64`
+    /// bit mask (bit `j` set iff cell `lane_base + j` is outstanding). The
+    /// mask's set bits are drained with `trailing_zeros`, so a
+    /// mostly-satisfied memory costs O(size / 64) mask computations plus
+    /// O(outstanding) pushes — and the classifier body is a tight,
+    /// branch-free loop the compiler can autovectorize. Produces exactly
+    /// the same index as [`UnvisitedIndex::rebuild`] for a classifier that
+    /// agrees cell-wise.
     ///
     /// # Panics
     ///
-    /// Panics if `size` exceeds `u32::MAX`.
-    pub fn rebuild_from_chunks<'a>(
+    /// Panics if `cells` is longer than `u32::MAX`.
+    pub fn rebuild_batched<'a>(
         &mut self,
-        size: usize,
-        chunks: impl Iterator<Item = (usize, &'a [Word])>,
-        mut is_outstanding: impl FnMut(usize, Word) -> bool,
-    ) {
-        self.reset(size);
-        for (base, cells) in chunks {
-            for (off, &value) in cells.iter().enumerate() {
-                let addr = base + off;
-                if is_outstanding(addr, value) {
-                    self.push_addr(addr);
-                }
-            }
-        }
-        self.seal();
-    }
-
-    /// Batched [`UnvisitedIndex::rebuild_from_chunks`]: each chunk is
-    /// processed in fixed-width lanes of up to [`LANE_WIDTH`] cells, and
-    /// the classifier answers per lane with one `u64` bit mask (bit `j`
-    /// set iff cell `lane_base + j` is outstanding). The mask's set bits
-    /// are drained with `trailing_zeros`, so a mostly-satisfied memory
-    /// costs O(size / 64) mask computations plus O(outstanding) pushes —
-    /// and the classifier body is a tight, branch-free loop the compiler
-    /// can autovectorize. Produces exactly the same index as the scalar
-    /// rebuild for a classifier that agrees cell-wise.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `size` exceeds `u32::MAX`.
-    pub fn rebuild_from_chunks_batched<'a>(
-        &mut self,
-        size: usize,
-        chunks: impl Iterator<Item = (usize, &'a [Word])>,
+        cells: &'a [Word],
         mut lane_mask: impl FnMut(usize, &'a [Word]) -> u64,
     ) {
-        self.reset(size);
-        for (chunk_base, cells) in chunks {
-            let mut base = chunk_base;
-            for lane in cells.chunks(LANE_WIDTH) {
-                let mut mask = lane_mask(base, lane);
-                debug_assert!(
-                    lane.len() == LANE_WIDTH || mask >> lane.len() == 0,
-                    "lane mask has bits beyond the lane's {} cells",
-                    lane.len()
-                );
-                // Iterate the set bits in ascending order: appends stay
-                // sorted, so the rebuilt index is clean by construction.
-                while mask != 0 {
-                    let j = mask.trailing_zeros() as usize;
-                    mask &= mask - 1;
-                    self.push_addr(base + j);
-                }
-                base += lane.len();
+        self.reset(cells.len());
+        for (k, lane) in cells.chunks(LANE_WIDTH).enumerate() {
+            let base = k * LANE_WIDTH;
+            let mut mask = lane_mask(base, lane);
+            debug_assert!(
+                lane.len() == LANE_WIDTH || mask >> lane.len() == 0,
+                "lane mask has bits beyond the lane's {} cells",
+                lane.len()
+            );
+            // Iterate the set bits in ascending order: appends stay
+            // sorted, so the rebuilt index is clean by construction.
+            while mask != 0 {
+                let j = mask.trailing_zeros() as usize;
+                mask &= mask - 1;
+                self.push_addr(base + j);
             }
         }
         self.seal();
@@ -584,50 +557,16 @@ mod tests {
         assert_eq!(idx.rank_of(1), Some(0));
     }
 
-    /// `rebuild_from_chunks` with chunk boundaries that do not divide the
-    /// region size, plus empty trailing chunks, matches the plain rebuild.
-    #[test]
-    fn rebuild_from_ragged_chunks_matches_plain_rebuild() {
-        let size = 11;
-        let values: Vec<Word> = (0..size as Word).map(|v| v % 3).collect();
-        // Ragged chunking: 4 + 5 + 2 cells, then two empty trailing chunks.
-        let chunks: Vec<(usize, &[Word])> = vec![
-            (0, &values[0..4]),
-            (4, &values[4..9]),
-            (9, &values[9..11]),
-            (11, &values[11..]),
-            (11, &[]),
-        ];
-        let mut chunked = UnvisitedIndex::new(size);
-        chunked.rebuild_from_chunks(size, chunks.iter().copied(), |_, v| v == 0);
-        let mut plain = UnvisitedIndex::new(size);
-        plain.rebuild(size, |a| values[a] == 0);
-        assert_eq!(chunked.as_slice().to_vec(), plain.as_slice().to_vec());
-        assert!(chunked.matches(size, |a| values[a] == 0));
-
-        // The batched lane-mask rebuild agrees cell-for-cell too.
-        let mut batched = UnvisitedIndex::new(size);
-        batched.rebuild_from_chunks_batched(size, chunks.iter().copied(), |base, lane| {
-            let mut mask = 0u64;
-            for (j, &v) in lane.iter().enumerate() {
-                mask |= u64::from(v == 0) << j;
-                let _ = base;
-            }
-            mask
-        });
-        assert_eq!(batched.as_slice().to_vec(), plain.as_slice().to_vec());
-    }
-
-    /// The batched rebuild splits chunks into [`LANE_WIDTH`]-cell lanes
-    /// with correct bases, including a final partial lane.
+    /// The batched rebuild splits the memory into [`LANE_WIDTH`]-cell lanes
+    /// with correct bases, including a final partial lane, and builds the
+    /// same index as the plain rebuild.
     #[test]
     fn batched_rebuild_lane_bases_and_partial_lane() {
         let size = LANE_WIDTH * 2 + 7;
         let values: Vec<Word> = (0..size).map(|a| u64::from(a % 5 == 0)).collect();
-        let chunk: Vec<(usize, &[Word])> = vec![(0, &values[..])];
         let mut seen_bases = Vec::new();
         let mut idx = UnvisitedIndex::new(size);
-        idx.rebuild_from_chunks_batched(size, chunk.into_iter(), |base, lane| {
+        idx.rebuild_batched(&values, |base, lane| {
             seen_bases.push((base, lane.len()));
             let mut mask = 0u64;
             for (j, &v) in lane.iter().enumerate() {
@@ -640,5 +579,8 @@ mod tests {
             vec![(0, LANE_WIDTH), (LANE_WIDTH, LANE_WIDTH), (2 * LANE_WIDTH, 7)]
         );
         assert!(idx.matches(size, |a| a % 5 != 0));
+        let mut plain = UnvisitedIndex::new(size);
+        plain.rebuild(size, |a| values[a] == 0);
+        assert_eq!(idx.as_slice().to_vec(), plain.as_slice().to_vec());
     }
 }

@@ -1,9 +1,9 @@
-//! Differential properties for the bank-partitioned memory backend.
+//! Differential properties for the banked memory layouts.
 //!
 //! The layout is an implementation detail of the store: for every fault
 //! schedule, every bank count and every interleave, a banked machine must
 //! produce the byte-identical event stream, stats, failure pattern,
-//! merged memory image and merged access counters as the flat machine —
+//! memory image and merged access counters as the flat machine —
 //! for the word model (sequential and pooled engines) and the snapshot
 //! model. Checkpoints taken under a non-default bank count must restore
 //! bit-exactly, and cross-layout restores must be refused.
@@ -148,7 +148,7 @@ fn word_run(
     Observables {
         events: trace.to_jsonl(),
         report,
-        mem: m.memory().to_vec(),
+        mem: m.memory().as_slice().to_vec(),
         reads: m.memory().read_count(),
         writes: m.memory().write_count(),
     }
@@ -192,7 +192,7 @@ proptest! {
     }
 
     /// Snapshot model: same property, through the unified core's snapshot
-    /// path (including the banked chunk-wise scan fallbacks).
+    /// path (including its fallback scans).
     #[test]
     fn snapshot_banked_is_bit_identical_to_flat(
         n in 1usize..24,
@@ -214,7 +214,7 @@ proptest! {
             (
                 trace.to_jsonl(),
                 report,
-                m.memory().to_vec(),
+                m.memory().as_slice().to_vec(),
                 m.memory().read_count(),
                 m.memory().write_count(),
             )
@@ -264,7 +264,7 @@ proptest! {
 
         let (report_r, mem_r, counters_r) = match status {
             RunStatus::Completed(report) => {
-                (report, first.memory().to_vec(), first.memory().bank_counters())
+                (report, first.memory().as_slice().to_vec(), first.memory().bank_counters())
             }
             RunStatus::Paused { .. } => {
                 let ck = first.save_checkpoint(&adv1).unwrap();
@@ -275,14 +275,14 @@ proptest! {
                 let mut adv2 = ScheduledAdversary::new(pattern.clone());
                 second.restore_checkpoint(&ck, &mut adv2).unwrap();
                 let report = second.run_with(&mut adv2, spec()).unwrap().completed().unwrap();
-                (report, second.memory().to_vec(), second.memory().bank_counters())
+                (report, second.memory().as_slice().to_vec(), second.memory().bank_counters())
             }
         };
 
         prop_assert_eq!(report_s.outcome, report_r.outcome);
         prop_assert_eq!(report_s.stats, report_r.stats);
         prop_assert_eq!(report_s.per_processor, report_r.per_processor);
-        prop_assert_eq!(straight.memory().to_vec(), mem_r);
+        prop_assert_eq!(straight.memory().as_slice().to_vec(), mem_r);
         prop_assert_eq!(straight.memory().bank_counters(), counters_r);
     }
 }

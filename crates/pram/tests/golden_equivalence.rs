@@ -47,8 +47,8 @@ fn check_golden(name: &str, actual: &str) {
 }
 
 /// Canonical text rendering of everything a run makes observable.
-/// `to_vec()` merges banked layouts into address order, so a banked run
-/// summarizes — and must stay — byte-identical to the flat fixture.
+/// Memory is one address-ordered array under every layout, so a banked
+/// run summarizes — and must stay — byte-identical to the flat fixture.
 fn summary(events_jsonl: &str, report: &RunReport, mem: &SharedMemory) -> String {
     format!(
         "== events ==\n{events_jsonl}== stats ==\n{:?}\n== pattern ==\n{:?}\n\
@@ -56,7 +56,7 @@ fn summary(events_jsonl: &str, report: &RunReport, mem: &SharedMemory) -> String
         report.stats,
         report.pattern,
         report.per_processor,
-        mem.to_vec(),
+        mem.as_slice(),
         mem.read_count(),
         mem.write_count(),
     )
@@ -340,8 +340,8 @@ fn snapshot_matches_golden() {
     check_golden("golden_snapshot.txt", &actual);
 }
 
-/// The snapshot machine over a banked memory — including its chunk-wise
-/// fallback scans — pins to the same fixture as the flat run.
+/// The snapshot machine over a banked memory — including its fallback
+/// scans — pins to the same fixture as the flat run.
 #[test]
 fn snapshot_banked_matches_golden() {
     let prog = SnapHinted { n: 12 };

@@ -2,9 +2,9 @@
 
 use proptest::prelude::*;
 use rfsp_pram::{
-    CycleBudget, ExecMode, FailPoint, FailureEvent, FailureKind, FailurePattern, LayoutBuilder,
-    Machine, Observer, Pid, Program, ReadSet, RunLimits, RunSpec, ScheduledAdversary, SharedMemory,
-    Step, TraceEvent, TraceRecorder, Word, WriteMode, WriteSet,
+    CompletionHint, CycleBudget, ExecMode, FailPoint, FailureEvent, FailureKind, FailurePattern,
+    LayoutBuilder, Machine, Observer, Pid, Program, ReadSet, RunLimits, RunSpec,
+    ScheduledAdversary, SharedMemory, Step, TraceEvent, TraceRecorder, Word, WriteMode, WriteSet,
 };
 
 proptest! {
@@ -198,45 +198,109 @@ proptest! {
     }
 
     /// The pooled tick engine is observationally identical to the
-    /// sequential one: byte-identical event streams, equal stats and
-    /// failure pattern, and the same final memory — for every legal fault
-    /// schedule and every pool width. This is the machine-level guarantee
-    /// that lets experiments pick an engine purely on speed.
+    /// sequential one: byte-identical event streams, equal stats, failure
+    /// pattern, per-processor work, final memory and access counters — for
+    /// every legal fault schedule and every pool width. This is the
+    /// machine-level guarantee that lets experiments pick an engine purely
+    /// on speed. `Grind` has one cell per processor; `Blocks` is a
+    /// *tracked* program (completion hints prime the unvisited index) with
+    /// N ≠ P and enough processors to span several pool chunks. Run with
+    /// `RFSP_POOL_INLINE_NS=0` to force every pooled tick onto the workers.
     #[test]
     fn pooled_engine_is_bit_identical_to_sequential(
         p in 1usize..20,
         target in 1u64..6,
         threads in 2usize..5,
         raw in proptest::collection::vec((1usize..20, any::<bool>()), 0..60),
+        n_blocks in 1usize..300,
+        p_blocks in 1usize..160,
+        raw_blocks in proptest::collection::vec((1usize..160, any::<bool>()), 0..60),
     ) {
         let pattern = legal_schedule(p, raw);
         let prog = Grind { n: p, target };
-        let limits = RunLimits { max_cycles: 1_000_000 };
+        let seq = observe(&prog, p, &pattern, ExecMode::Sequential);
+        prop_assert_eq!(seq, observe(&prog, p, &pattern, ExecMode::Threads(threads)));
 
-        let mut seq_trace = TraceRecorder::unbounded();
-        let mut seq_machine = Machine::new(&prog, p, CycleBudget::PAPER).unwrap();
-        let spec = RunSpec { limits, observer: Some(&mut seq_trace), ..RunSpec::default() };
-        let seq = seq_machine
-            .run_with(&mut ScheduledAdversary::new(pattern.clone()), spec)
-            .unwrap()
-            .completed()
-            .unwrap();
-        let seq_mem: Vec<Word> = (0..p).map(|i| seq_machine.memory().peek(i)).collect();
+        let pattern = legal_schedule(p_blocks, raw_blocks);
+        let prog = Blocks { n: n_blocks, p: p_blocks };
+        let seq = observe(&prog, p_blocks, &pattern, ExecMode::Sequential);
+        prop_assert_eq!(seq, observe(&prog, p_blocks, &pattern, ExecMode::Threads(threads)));
+    }
+}
 
-        let mut pool_trace = TraceRecorder::unbounded();
-        let mut pool_machine = Machine::new(&prog, p, CycleBudget::PAPER).unwrap();
-        let exec = ExecMode::Threads(threads);
-        let spec = RunSpec { limits, exec, observer: Some(&mut pool_trace), ..RunSpec::default() };
-        let pooled = pool_machine
-            .run_with(&mut ScheduledAdversary::new(pattern), spec)
-            .unwrap()
-            .completed()
-            .unwrap();
-        let pool_mem: Vec<Word> = (0..p).map(|i| pool_machine.memory().peek(i)).collect();
+/// Run `prog` on `p` processors under `pattern` with engine `exec`, and
+/// render everything the run makes observable.
+fn observe<P>(prog: &P, p: usize, pattern: &FailurePattern, exec: ExecMode<'_>) -> String
+where
+    P: Program + Sync,
+    P::Private: Send,
+{
+    let limits = RunLimits { max_cycles: 1_000_000 };
+    let mut trace = TraceRecorder::unbounded();
+    let mut m = Machine::new(prog, p, CycleBudget::PAPER).unwrap();
+    let spec = RunSpec { limits, exec, observer: Some(&mut trace), ..RunSpec::default() };
+    let report = m
+        .run_with(&mut ScheduledAdversary::new(pattern.clone()), spec)
+        .unwrap()
+        .completed()
+        .unwrap();
+    let mem = m.memory();
+    format!(
+        "{}{:?}\n{:?}\n{:?}\n{:?}\nreads={} writes={}",
+        trace.to_jsonl(),
+        report.stats,
+        report.pattern.events(),
+        report.per_processor,
+        mem.as_slice(),
+        mem.read_count(),
+        mem.write_count(),
+    )
+}
 
-        prop_assert_eq!(seq_trace.to_jsonl(), pool_trace.to_jsonl());
-        prop_assert_eq!(seq.stats, pooled.stats);
-        prop_assert_eq!(seq.pattern.events(), pooled.pattern.events());
-        prop_assert_eq!(seq_mem, pool_mem);
+/// Block-assigned Write-All with completion hints — a *tracked* program,
+/// so the machine primes and folds its unvisited index. Restarts reset the
+/// block cursor, making re-execution under faults idempotent.
+struct Blocks {
+    n: usize,
+    p: usize,
+}
+
+impl Blocks {
+    fn block(&self, pid: Pid) -> (usize, usize) {
+        let chunk = self.n.div_ceil(self.p);
+        ((pid.0 * chunk).min(self.n), ((pid.0 + 1) * chunk).min(self.n))
+    }
+}
+
+impl Program for Blocks {
+    type Private = usize;
+    fn shared_size(&self) -> usize {
+        self.n
+    }
+    fn on_start(&self, _pid: Pid) -> usize {
+        0
+    }
+    fn plan(&self, _pid: Pid, _st: &usize, _values: &[Word], _reads: &mut ReadSet) {}
+    fn execute(&self, pid: Pid, st: &mut usize, _values: &[Word], writes: &mut WriteSet) -> Step {
+        // Spin (write-less cycles) once the block is done rather than
+        // halting: the pre-committed schedules may fault any processor at
+        // any time, which is only legal while it is active.
+        let (lo, hi) = self.block(pid);
+        let i = lo + *st;
+        if i < hi {
+            writes.push(i, 1);
+            *st += 1;
+        }
+        Step::Continue
+    }
+    fn is_complete(&self, mem: &SharedMemory) -> bool {
+        (0..self.n).all(|i| mem.peek(i) == 1)
+    }
+    fn completion_hint(&self, _addr: usize, value: Word) -> CompletionHint {
+        if value == 1 {
+            CompletionHint::Satisfied
+        } else {
+            CompletionHint::Outstanding
+        }
     }
 }

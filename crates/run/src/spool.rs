@@ -14,10 +14,12 @@
 //! A restarted daemon scans the root and re-adopts everything it finds:
 //! jobs with a `done.json` are history, jobs with a `ck.json` resume from
 //! it (byte-identical event streams, same guarantee as `--resume`), and
-//! jobs with only a `config.json` start from scratch. Nothing else — no
-//! database, no lock files — so `kill -9` mid-write loses at most the
-//! work since the last checkpoint, exactly like a machine crash in the
-//! paper's fail-stop model.
+//! jobs with only a `config.json` start from scratch. A directory with no
+//! `config.json` is a submit that was never acknowledged and is skipped,
+//! while an unparseable `ck.json` or `done.json` stops the scan with an
+//! error naming the file. Nothing else — no database, no lock files — so
+//! `kill -9` mid-write loses at most the work since the last checkpoint,
+//! exactly like a machine crash in the paper's fail-stop model.
 
 use std::path::{Path, PathBuf};
 
@@ -90,6 +92,12 @@ impl Spool {
         let dir = self.job_dir(job);
         std::fs::create_dir_all(&dir)
             .map_err(|e| io_err("create job directory", &dir.display().to_string(), &e))?;
+        // Make the new directory entry durable before anything inside it:
+        // `next_job_id` counts it, so a power cut cannot hand its id out
+        // again.
+        std::fs::File::open(&self.root)
+            .and_then(|d| d.sync_all())
+            .map_err(|e| io_err("fsync spool directory", &self.root.display().to_string(), &e))?;
         config.checkpoint = Some(self.checkpoint_path(job));
         config.events = Some(self.events_path(job));
         let path = dir.join("config.json");
@@ -116,9 +124,13 @@ impl Spool {
     }
 
     /// Scan the spool: every `job-NNNNNN` directory with a readable
-    /// `config.json` becomes a [`SpoolJob`], sorted by id. Unreadable or
-    /// torn checkpoints are reported as errors — a daemon must refuse to
-    /// silently restart a job whose checkpoint it cannot parse.
+    /// `config.json` becomes a [`SpoolJob`], sorted by id. A directory
+    /// without `config.json` is skipped: it comes from a crash between
+    /// [`Spool::create_job`]'s mkdir and its config publish, so that submit
+    /// was never acknowledged ([`Spool::next_job_id`] still counts it, so
+    /// its id is not reused). Unreadable or torn checkpoints and
+    /// unparseable done markers are reported as errors — a daemon must
+    /// refuse to silently restart a job whose state it cannot parse.
     ///
     /// # Errors
     ///
@@ -136,8 +148,11 @@ impl Spool {
             let Ok(job) = id.parse::<u64>() else { continue };
             let dir = entry.path();
             let config_path = dir.join("config.json");
-            let text = std::fs::read_to_string(&config_path)
-                .map_err(|e| io_err("read", &config_path.display().to_string(), &e))?;
+            let text = match std::fs::read_to_string(&config_path) {
+                Ok(text) => text,
+                Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue,
+                Err(e) => return Err(io_err("read", &config_path.display().to_string(), &e)),
+            };
             let config = serde::json::from_str(&text)
                 .ok()
                 .and_then(|v| RunConfig::from_value(&v).ok())
@@ -156,7 +171,13 @@ impl Spool {
             let done = if done_path.exists() {
                 let text = std::fs::read_to_string(&done_path)
                     .map_err(|e| io_err("read", &done_path.display().to_string(), &e))?;
-                serde::json::from_str(&text).ok().and_then(|v| DoneMarker::from_value(&v).ok())
+                let marker = serde::json::from_str(&text)
+                    .ok()
+                    .and_then(|v| DoneMarker::from_value(&v).ok())
+                    .ok_or_else(|| {
+                        RunError(format!("{}: malformed done marker", done_path.display()))
+                    })?;
+                Some(marker)
             } else {
                 None
             };
@@ -250,6 +271,29 @@ mod tests {
             std::fs::write(&ck_path, &bytes[..cut]).unwrap();
             assert!(spool.scan().is_err(), "checkpoint torn at byte {cut} was adopted");
         }
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// A job directory left without `config.json` (a kill between the
+    /// mkdir and the config publish) is skipped, not fatal, and its id is
+    /// not handed out again; a torn `done.json` is an error.
+    #[test]
+    fn scan_skips_unacknowledged_jobs_and_refuses_torn_done_markers() {
+        let root = std::env::temp_dir().join("rfsp-run-spool-unacked");
+        let _ = std::fs::remove_dir_all(&root);
+        let spool = Spool::open(&root).unwrap();
+        spool.create_job(1, RunConfig::default()).unwrap();
+        std::fs::create_dir_all(spool.job_dir(2)).unwrap();
+        let jobs = spool.scan().unwrap();
+        assert_eq!(jobs.iter().map(|j| j.job).collect::<Vec<_>>(), [1]);
+        assert_eq!(spool.next_job_id().unwrap(), 3);
+
+        // An unparseable `done.json` fails the scan, naming the file,
+        // instead of silently re-adopting a finished job.
+        let done = spool.job_dir(1).join("done.json");
+        std::fs::write(&done, "{\"state\": ").unwrap();
+        let Err(err) = spool.scan() else { panic!("torn done marker was adopted") };
+        assert!(err.0.contains("done.json") && err.0.contains("malformed"), "{err}");
         std::fs::remove_dir_all(&root).unwrap();
     }
 }
